@@ -1,8 +1,8 @@
-"""Backend microbenchmark — the full set / bitset / packed adjacency matrix.
+"""Backend microbenchmark — the bitset / packed adjacency matrix.
 
-Exercises the third adjacency substrate (``packed``: contiguous numpy
-``uint64`` bit-matrices, see :mod:`repro.graph.packed`) against the two
-Python-native backends on three component families:
+Exercises the ``packed`` adjacency substrate (contiguous numpy ``uint64``
+bit-matrices, see :mod:`repro.graph.packed`) against the Python-int mask
+graph on three component families:
 
 * **enumeration** — iTraversal end-to-end; the packed substrate rides the
   same masked hot paths as ``bitset``, so the check here is solution-set
@@ -13,7 +13,7 @@ Python-native backends on three component families:
 * **(α, β)-core peeling** — round-based, whole-side vectorized peeling
   against the packed removal rows.
 
-Every component asserts identical outputs across all three backends; the
+Every component asserts identical outputs across both backends; the
 report shows per-backend wall-clock plus the packed-vs-bitset speedup,
 which must be ≥ 1 on the butterfly and core families (their batch paths are
 the point of this backend).
@@ -40,7 +40,7 @@ from repro.graph.butterfly import count_butterflies
 from repro.graph.cores import alpha_beta_core
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
-BACKENDS_COMPARED = ("set", "bitset", "packed")
+BACKENDS_COMPARED = ("bitset", "packed")
 
 # (component, n_left, n_right, edge_density) — density is |E| / (|L| + |R|).
 PACKED_BENCH_CONFIGS = (
@@ -68,8 +68,7 @@ def _component_runner(component: str, graph, backend: str):
     if component == "enumeration":
         # The backend is passed explicitly: the graph already is that
         # backend, so the engine's as_backend is a no-op and the timed
-        # region contains no conversion (the default would re-convert the
-        # plain-set graph to bitset in-window).
+        # region contains no conversion.
         return lambda: [
             s.key()
             for s in ITraversal(
@@ -91,8 +90,7 @@ def run_packed_comparison(configs=None, seed: int = 3):
     """One row per (component, graph config): wall-clock per backend + speedups."""
     if not packed_available():
         raise RuntimeError(
-            "the packed-backend benchmark needs numpy >= 2.0; "
-            "run bench_backend_bitset.py / bench_baselines_bitset.py instead"
+            "the packed-backend benchmark needs numpy >= 2.0"
         )
     if configs is None:
         configs = TINY_PACKED_CONFIGS if TINY else PACKED_BENCH_CONFIGS
@@ -111,23 +109,18 @@ def run_packed_comparison(configs=None, seed: int = 3):
                 results[backend] = run()
                 best = min(best, time.perf_counter() - start)
             seconds[backend] = best
-        for backend in ("bitset", "packed"):
-            assert results[backend] == results["set"], (
-                f"{component}: the {backend} backend must produce the "
-                "identical solution set"
-            )
+        assert results["packed"] == results["bitset"], (
+            f"{component}: the packed backend must produce the identical "
+            "solution set"
+        )
         rows.append(
             {
                 "component": component,
                 "n_left": n_left,
                 "n_right": n_right,
                 "edge_density": density,
-                "set_seconds": seconds["set"],
                 "bitset_seconds": seconds["bitset"],
                 "packed_seconds": seconds["packed"],
-                "packed_vs_set": (
-                    seconds["set"] / seconds["packed"] if seconds["packed"] else float("inf")
-                ),
                 "packed_vs_bitset": (
                     seconds["bitset"] / seconds["packed"]
                     if seconds["packed"]
@@ -160,7 +153,7 @@ def test_backend_packed_speedup(benchmark):
         pytest.skip("packed backend requires numpy >= 2.0")
     rows = run_once(benchmark, run_packed_comparison)
     print()
-    print_table(rows, title="Backend microbenchmark: set vs bitset vs packed (k=1)")
+    print_table(rows, title="Backend microbenchmark: bitset vs packed (k=1)")
     assert {row["component"] for row in rows} >= {"enumeration", "butterfly", "core"}
     if not TINY:
         _assert_batch_components_win(rows)
@@ -170,6 +163,6 @@ if __name__ == "__main__":
     from repro.bench.reporting import print_table
 
     table = run_packed_comparison()
-    print_table(table, title="Backend microbenchmark: set vs bitset vs packed (k=1)")
+    print_table(table, title="Backend microbenchmark: bitset vs packed (k=1)")
     if not TINY:
         _assert_batch_components_win(table)

@@ -1,6 +1,6 @@
 """Bitruss / edge-support benchmark for the packed batch substrate.
 
-Exercises the PR-4 batch kernels against the Python-native backends on the
+Exercises the packed batch kernels against the Python-int mask paths on the
 edge-support layer the paper pairs with MBP enumeration as pre-pruning:
 
 * **edge-support** — ``edge_butterfly_counts``: per-edge rectangle counts
@@ -13,17 +13,15 @@ edge-support layer the paper pairs with MBP enumeration as pre-pruning:
   the enumeration-side batch predicates (whole-side Γ / δ̄ scoring in the
   traversal engine and the maximal-extension step) apply.
 
-Every row asserts three-way output equality (identical support dicts,
-bitruss edge sets / numbers, and solution sets across ``set`` / ``bitset``
-/ ``packed``); the full run additionally asserts the packed-vs-bitset
-speedup targets: ≥ 2x on at least one bitruss configuration and at least
-parity on the dense-ER enumeration.
+Every row asserts output equality (identical support dicts, bitruss edge
+sets / numbers, and solution sets across ``bitset`` / ``packed``); the full
+run additionally asserts the packed-vs-bitset speedup targets: ≥ 2x on at
+least one bitruss configuration and at least parity on the dense-ER
+enumeration.
 
 Runnable standalone (``python benchmarks/bench_bitruss_packed.py``) or via
 pytest-benchmark.  Set ``REPRO_BENCH_TINY=1`` for smoke-test sizes (used by
-CI).  Without numpy the packed backend is the ``array('Q')`` fallback: the
-benchmark still runs and checks the three-way equality (that *is* the
-fallback's contract), but the speedup assertions are skipped.
+CI).  Needs numpy >= 2.0 (skips cleanly without it).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from repro.graph import as_backend, erdos_renyi_bipartite, packed_available
 from repro.graph.butterfly import bitruss_number, edge_butterfly_counts, k_bitruss
 
 TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
-BACKENDS_COMPARED = ("set", "bitset", "packed")
+BACKENDS_COMPARED = ("bitset", "packed")
 
 # (component, n_left, n_right, edge_density, parameter) — the parameter is
 # the peeling k for "bitruss" and the max_results cap for "enumeration".
@@ -60,8 +58,7 @@ TINY_BITRUSS_CONFIGS = (
     ("enumeration", 12, 12, 1.5, 50),
 )
 K = 1
-#: Timed repetitions for the two fast backends; the set backend runs once —
-#: it participates as the equality oracle, not as a timing baseline.
+#: Timed repetitions per (component, backend); the best run is reported.
 REPEATS = 3
 
 
@@ -87,6 +84,8 @@ def _component_runner(component: str, graph, backend: str, parameter):
 
 def run_bitruss_comparison(configs=None, seed: int = 3):
     """One row per (component, graph config): wall-clock per backend + speedups."""
+    if not packed_available():
+        raise RuntimeError("the bitruss benchmark needs numpy >= 2.0")
     if configs is None:
         configs = TINY_BITRUSS_CONFIGS if TINY else BITRUSS_BENCH_CONFIGS
     rows = []
@@ -101,16 +100,15 @@ def run_bitruss_comparison(configs=None, seed: int = 3):
                 component, as_backend(graph, backend), backend, parameter
             )
             best = float("inf")
-            for _ in range(1 if backend == "set" else REPEATS):
+            for _ in range(REPEATS):
                 start = time.perf_counter()
                 results[backend] = run()
                 best = min(best, time.perf_counter() - start)
             seconds[backend] = best
-        for backend in ("bitset", "packed"):
-            assert results[backend] == results["set"], (
-                f"{component}: the {backend} backend must produce identical "
-                "support counts / bitruss edges / solution sets"
-            )
+        assert results["packed"] == results["bitset"], (
+            f"{component}: the packed backend must produce identical "
+            "support counts / bitruss edges / solution sets"
+        )
         rows.append(
             {
                 "component": component,
@@ -118,7 +116,6 @@ def run_bitruss_comparison(configs=None, seed: int = 3):
                 "n_right": n_right,
                 "edge_density": density,
                 "parameter": parameter,
-                "set_seconds": seconds["set"],
                 "bitset_seconds": seconds["bitset"],
                 "packed_seconds": seconds["packed"],
                 "packed_vs_bitset": (
@@ -150,15 +147,18 @@ def _assert_speedup_targets(rows):
 
 
 def test_bitruss_packed_speedup(benchmark):
+    import pytest
     from conftest import run_once
 
     from repro.bench.reporting import print_table
 
+    if not packed_available():
+        pytest.skip("packed backend requires numpy >= 2.0")
     rows = run_once(benchmark, run_bitruss_comparison)
     print()
-    print_table(rows, title="Bitruss benchmark: set vs bitset vs packed")
+    print_table(rows, title="Bitruss benchmark: bitset vs packed")
     assert {row["component"] for row in rows} >= {"edge-support", "bitruss"}
-    if not TINY and packed_available():
+    if not TINY:
         _assert_speedup_targets(rows)
 
 
@@ -166,11 +166,8 @@ if __name__ == "__main__":
     from repro.bench.reporting import print_table
 
     table = run_bitruss_comparison()
-    print_table(table, title="Bitruss benchmark: set vs bitset vs packed")
-    if TINY or not packed_available():
-        print(
-            "smoke/fallback mode: three-way equality checked, "
-            "speedup targets skipped"
-        )
+    print_table(table, title="Bitruss benchmark: bitset vs packed")
+    if TINY:
+        print("smoke mode: equality checked, speedup targets skipped")
     else:
         _assert_speedup_targets(table)

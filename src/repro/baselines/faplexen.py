@@ -65,9 +65,8 @@ class FaPlexenPipeline:
     backend:
         Adjacency substrate of the *inflated* graph: ``"bitset"`` (the
         default, see :func:`repro.graph.protocol.default_backend`) and
-        ``"packed"`` (numpy bit-matrix rows) give the plex enumerator its
-        word-parallel non-neighbour-mask fast path; ``"set"`` is the
-        plain-set fallback.
+        ``"packed"`` (adds numpy bit-matrix rows); the plex enumerator runs
+        its word-parallel non-neighbour-mask paths on both.
     """
 
     def __init__(

@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Set
 
 from ..core.biplex import Biplex
 from ..graph.bipartite import BipartiteGraph
-from ..graph.protocol import as_backend, default_backend, iter_bits, mask_of, supports_masks
+from ..graph.protocol import as_backend, default_backend, iter_bits, mask_of
 
 
 def is_quasi_biclique(
@@ -34,31 +34,19 @@ def is_quasi_biclique(
 ) -> bool:
     """Whether ``(left, right)`` is a δ-quasi-biclique.
 
-    Empty sides are accepted (the constraints hold vacuously).  On a
-    mask-capable substrate the per-vertex miss counts are word-parallel
-    popcounts instead of set differences.
+    Empty sides are accepted (the constraints hold vacuously).  The
+    per-vertex miss counts are word-parallel popcounts on the adjacency
+    masks.
     """
-    if supports_masks(graph):
-        left_mask = mask_of(left)
-        right_mask = mask_of(right)
-        left_budget = delta * right_mask.bit_count()
-        right_budget = delta * left_mask.bit_count()
-        for v in iter_bits(left_mask):
-            if (right_mask & ~graph.adj_left_mask(v)).bit_count() > left_budget:
-                return False
-        for u in iter_bits(right_mask):
-            if (left_mask & ~graph.adj_right_mask(u)).bit_count() > right_budget:
-                return False
-        return True
-    left_set = set(left)
-    right_set = set(right)
-    left_budget = delta * len(right_set)
-    right_budget = delta * len(left_set)
-    for v in left_set:
-        if graph.missing_left(v, right_set) > left_budget:
+    left_mask = mask_of(left)
+    right_mask = mask_of(right)
+    left_budget = delta * right_mask.bit_count()
+    right_budget = delta * left_mask.bit_count()
+    for v in iter_bits(left_mask):
+        if (right_mask & ~graph.adj_left_mask(v)).bit_count() > left_budget:
             return False
-    for u in right_set:
-        if graph.missing_right(u, left_set) > right_budget:
+    for u in iter_bits(right_mask):
+        if (left_mask & ~graph.adj_right_mask(u)).bit_count() > right_budget:
             return False
     return True
 

@@ -14,11 +14,10 @@ Five subcommands cover the library's day-to-day uses:
   and print the paper-style table;
 * ``repro-mbp datasets``   — list the dataset registry (the Table 1 stand-ins).
 
-``enumerate`` accepts ``--backend {bitset,set,packed}`` to pick the
-adjacency substrate; ``bitset`` (word-parallel bitmasks) is the default,
-``set`` is the plain-set fallback and ``packed`` adds ``uint64`` bit-matrix
-rows — numpy-vectorized when numpy >= 2.0 is installed, an ``array('Q')``
-fallback with identical results otherwise.  All backends enumerate
+``enumerate`` accepts ``--backend {bitset,packed}`` to pick the
+adjacency substrate; ``bitset`` (word-parallel bitmasks) is the default and
+``packed`` adds numpy ``uint64`` bit-matrix rows when numpy >= 2.0 is
+installed (the ``bitset`` graph otherwise).  Both backends enumerate
 identical solution sets.  The ``REPRO_BACKEND`` environment variable
 overrides the default globally.  ``--jobs N`` (or ``REPRO_JOBS=N``) runs
 the enumeration on the sharded parallel engine (:mod:`repro.parallel`)
@@ -82,11 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=BACKENDS,
         help=(
-            "adjacency substrate: 'bitset' (word-parallel bitmasks, the default), "
-            "'packed' (uint64 bit-matrix rows; vectorized with numpy >= 2.0, "
-            "numpy-free array('Q') fallback otherwise) or 'set' (plain "
-            "adjacency sets); all enumerate identical solution sets, and the "
-            "REPRO_BACKEND environment variable overrides the default"
+            "adjacency substrate: 'bitset' (word-parallel bitmasks, the default) "
+            "or 'packed' (adds numpy uint64 bit-matrix rows; needs numpy >= 2.0, "
+            "bitset without it); both enumerate identical solution sets, and "
+            "the REPRO_BACKEND environment variable overrides the default"
         ),
     )
     enumerate_parser.add_argument("--theta", type=int, default=0, help="min size of both sides")
@@ -334,10 +332,10 @@ def _command_enumerate(args: argparse.Namespace) -> int:
                     top=top,
                 )
         except PackedBackendUnavailable as error:
-            # Defensive: conversions auto-select the array('Q') fallback when
-            # numpy is absent, so only a direct construction of the numpy
-            # classes can land here; other RuntimeErrors are real bugs and keep
-            # their traceback.
+            # Defensive: as_backend keeps the mask graph when numpy is
+            # absent, so only a direct construction of the numpy classes can
+            # land here; other RuntimeErrors are real bugs and keep their
+            # traceback.
             print(f"error: {error}", file=sys.stderr)
             return 2
         with obs_span("traverse"):
@@ -400,7 +398,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
         rows = driver()
     except PackedBackendUnavailable as error:
         # Defensive, as in `enumerate`: the packed conversions degrade to
-        # the fallback on their own; any other RuntimeError keeps its
+        # the mask graph on their own; any other RuntimeError keeps its
         # traceback.
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -10,6 +10,16 @@ operations every enumeration algorithm builds on:
   ThreeStep procedure),
 * construction of the designated initial solutions ``(L0, R)`` and
   ``(L, R0)`` used by iTraversal (Section 3.2).
+
+The predicates come in two kinds.  The *reference* predicates
+(:func:`is_k_biplex`, :func:`is_maximal_k_biplex`, :func:`can_add_left` /
+:func:`can_add_right`, :func:`violating_vertices`) read only the adjacency
+sets; they are what :mod:`repro.core.verify` and the brute-force oracle
+check against, so the oracle stays independent of the engine's primitives.
+The engine's primitives (:func:`can_add_left_masked` /
+:func:`can_add_right_masked`, :func:`extend_to_maximal`, the initial
+solutions) run on the adjacency bitmasks, plus whole-side ``popcount_rows``
+sweeps on a batch substrate.
 """
 
 from __future__ import annotations
@@ -18,13 +28,7 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 from ..graph.bipartite import BipartiteGraph
-from ..graph.protocol import (
-    BATCH_SWEEP_MIN_SIDE,
-    iter_bits,
-    mask_of,
-    supports_masks,
-    supports_vector_batch,
-)
+from ..graph.protocol import BATCH_SWEEP_MIN_SIDE, iter_bits, mask_of, supports_batch
 
 
 @dataclass(frozen=True, order=True)
@@ -79,36 +83,8 @@ def is_k_biplex(
     Definition 2.1: every left vertex misses at most ``k`` vertices of
     ``right`` and every right vertex misses at most ``k`` vertices of
     ``left``.  Empty sides are allowed (``(∅, R)`` is always a k-biplex).
-
-    On a vectorized batch substrate, each side large enough to clear the
-    sweep crossover gets its miss counts from one ``popcount_rows`` sweep
-    (``δ̄(v, S) = |S| − |Γ(v) ∩ S|``) instead of a per-vertex mask loop.
+    A reference predicate: reads only the adjacency sets.
     """
-    if supports_masks(graph):
-        left_set = set(left)
-        right_set = set(right)
-        left_mask = mask_of(left_set)
-        right_mask = mask_of(right_set)
-        batch = supports_vector_batch(graph)
-        if batch and left_set and graph.n_left >= BATCH_SWEEP_MIN_SIDE:
-            hits = graph.popcount_rows("left", right_mask).tolist()
-            size = len(right_set)
-            if any(size - hits[v] > k for v in left_set):
-                return False
-        else:
-            for v in left_set:
-                if (right_mask & ~graph.adj_left_mask(v)).bit_count() > k:
-                    return False
-        if batch and right_set and graph.n_right >= BATCH_SWEEP_MIN_SIDE:
-            hits = graph.popcount_rows("right", left_mask).tolist()
-            size = len(left_set)
-            if any(size - hits[u] > k for u in right_set):
-                return False
-        else:
-            for u in right_set:
-                if (left_mask & ~graph.adj_right_mask(u)).bit_count() > k:
-                    return False
-        return True
     left_set = set(left)
     right_set = set(right)
     for v in left_set:
@@ -178,10 +154,10 @@ def can_add_left_masked(
     candidate: int,
     k: int,
 ) -> bool:
-    """Bitmask twin of :func:`can_add_left` for mask-capable substrates.
+    """Bitmask twin of :func:`can_add_left`: the engine's addability probe.
 
     ``left_mask`` / ``right_mask`` are the packed vertex sets of a k-biplex;
-    the decision is identical to the set version, but the "missed" vertices
+    the decision is identical to the reference predicate, but the "missed" vertices
     are found with one word-parallel ``&``/``~`` instead of a set difference
     and only their (at most ``k``) bits are walked.
     """
@@ -234,28 +210,15 @@ def is_maximal_k_biplex(
     When ``candidate_left`` / ``candidate_right`` are given, maximality is
     only checked against those candidate pools — this is how *local*
     maximality w.r.t. an almost-satisfying graph is tested (Step 2 of
-    ThreeStep).  Otherwise all vertices of ``graph`` are candidates.
+    ThreeStep).  Otherwise all vertices of ``graph`` are candidates.  A
+    reference predicate: reads only the adjacency sets.
     """
     left_set = set(left)
     right_set = set(right)
     if not is_k_biplex(graph, left_set, right_set, k):
         return False
-    left_pool = graph.left_vertices() if candidate_left is None else list(candidate_left)
-    right_pool = graph.right_vertices() if candidate_right is None else list(candidate_right)
-    if supports_vector_batch(graph):
-        # One popcount sweep per side scores every candidate at once: a
-        # vertex missing more than k vertices of the other side can never be
-        # added, so only the (few) survivors reach the exact probe.  Each
-        # sweep is gated on its pool clearing the crossover — the restricted
-        # pools of the local-maximality checks stay on the direct probes.
-        if len(left_pool) >= BATCH_SWEEP_MIN_SIDE:
-            hits = graph.popcount_rows("left", mask_of(right_set)).tolist()
-            budget = len(right_set) - k
-            left_pool = [v for v in left_pool if hits[v] >= budget]
-        if len(right_pool) >= BATCH_SWEEP_MIN_SIDE:
-            hits = graph.popcount_rows("right", mask_of(left_set)).tolist()
-            budget = len(left_set) - k
-            right_pool = [u for u in right_pool if hits[u] >= budget]
+    left_pool = graph.left_vertices() if candidate_left is None else candidate_left
+    right_pool = graph.right_vertices() if candidate_right is None else candidate_right
     for v in left_pool:
         if v not in left_set and can_add_left(graph, left_set, right_set, v, k):
             return False
@@ -288,79 +251,23 @@ def extend_to_maximal(
     be added — e.g. iTraversal extends with left-side vertices only
     (Line 8 of Algorithm 2 excludes ``R``).  ``None`` means "all vertices of
     that side".
-    """
-    if supports_masks(graph):
-        return _extend_to_maximal_masked(graph, left, right, k, candidate_left, candidate_right)
-    left_set = set(left)
-    right_set = set(right)
-    if candidate_left is None:
-        left_pool: Sequence[int] = range(graph.n_left)
-    else:
-        left_pool = sorted(candidate_left)
-    if candidate_right is None:
-        right_pool: Sequence[int] = range(graph.n_right)
-    else:
-        right_pool = sorted(candidate_right)
 
-    # Adding a vertex only ever tightens the constraints (miss counts never
-    # decrease), so a candidate rejected once can never become addable later.
-    # A single deterministic pass — left side first, then right side — is
-    # therefore enough to reach a maximal k-biplex.
-    left_miss = {v: len(right_set - graph.neighbors_of_left(v)) for v in left_set}
-    right_miss = {u: len(left_set - graph.neighbors_of_right(u)) for u in right_set}
-
-    for v in _extension_candidates(left_pool, left_set, right_set, k, graph.neighbors_of_right):
-        missed = right_set - graph.neighbors_of_left(v)
-        if len(missed) > k:
-            continue
-        if any(right_miss[u] + 1 > k for u in missed):
-            continue
-        left_set.add(v)
-        left_miss[v] = len(missed)
-        for u in missed:
-            right_miss[u] += 1
-
-    for u in _extension_candidates(right_pool, right_set, left_set, k, graph.neighbors_of_left):
-        missed = left_set - graph.neighbors_of_right(u)
-        if len(missed) > k:
-            continue
-        if any(left_miss[v] + 1 > k for v in missed):
-            continue
-        right_set.add(u)
-        right_miss[u] = len(missed)
-        for v in missed:
-            left_miss[v] += 1
-
-    return Biplex.of(left_set, right_set)
-
-
-def _extend_to_maximal_masked(
-    graph,
-    left: Iterable[int],
-    right: Iterable[int],
-    k: int,
-    candidate_left: Optional[Sequence[int]] = None,
-    candidate_right: Optional[Sequence[int]] = None,
-) -> Biplex:
-    """Bitmask implementation of :func:`extend_to_maximal`.
-
-    Candidates are pre-filtered with the same edge-proportional counting
-    trick as the set version (the bitset substrate keeps adjacency sets
-    too) and tried in the same ascending order, left side first, so the
-    resulting maximal k-biplex is bit-for-bit identical — only the
+    Candidates are pre-filtered by edge-proportional counting (the graph
+    keeps adjacency sets next to its masks), or by one ``popcount_rows``
+    sweep per side on a batch substrate, and then tried in order; the
     per-candidate "missed vertices" work is word-parallel: one ``& ~`` plus
-    a popcount instead of materialising a set difference.
+    a popcount instead of materialising a set difference.  Adding a vertex
+    only ever tightens the constraints (miss counts never decrease), so a
+    candidate rejected once can never become addable later, and a single
+    pass — left side first, then right side — reaches a maximal k-biplex.
     """
     adj_left_mask = graph.adj_left_mask
     adj_right_mask = graph.adj_right_mask
     # One sweep per extension call: gate each side on its size so small
     # graphs keep the (cheaper) pure mask path.
-    batch_left = (
-        supports_vector_batch(graph) and graph.n_left >= BATCH_SWEEP_MIN_SIDE
-    )
-    batch_right = (
-        supports_vector_batch(graph) and graph.n_right >= BATCH_SWEEP_MIN_SIDE
-    )
+    batch = supports_batch(graph)
+    batch_left = batch and graph.n_left >= BATCH_SWEEP_MIN_SIDE
+    batch_right = batch and graph.n_right >= BATCH_SWEEP_MIN_SIDE
     left_set = set(left)
     right_set = set(right)
     left_mask = mask_of(left_set)
@@ -507,65 +414,51 @@ def initial_solution_left_anchored(graph: BipartiteGraph, k: int) -> Biplex:
     (Section 3.2).  The result is a maximal k-biplex whose right side is the
     whole of ``R``.
     """
-    if supports_masks(graph):
-        adj_left_mask = graph.adj_left_mask
-        full_right = (1 << graph.n_right) - 1
-        right_miss = [0] * graph.n_right
-        left_mask = 0
-        if supports_vector_batch(graph):
-            # δ̄(v, R) = |R| − deg(v): one degree sweep rules out every
-            # vertex missing more than k right vertices before the
-            # (sequential, order-sensitive) greedy loop below.
-            degrees = graph.popcount_rows("left")
-            candidates = (degrees >= graph.n_right - k).nonzero()[0].tolist()
-        else:
-            candidates = range(graph.n_left)
-        for v in candidates:
-            missed = full_right & ~adj_left_mask(v)
-            if missed.bit_count() > k:
-                continue
-            if any(right_miss[u] + 1 > k for u in iter_bits(missed)):
-                continue
-            left_mask |= 1 << v
-            for u in iter_bits(missed):
-                right_miss[u] += 1
-        return Biplex.of(iter_bits(left_mask), range(graph.n_right))
-    right_set = set(graph.right_vertices())
-    left_set: Set[int] = set()
-    for v in graph.left_vertices():
-        if can_add_left(graph, left_set, right_set, v, k):
-            left_set.add(v)
-    return Biplex.of(left_set, right_set)
+    adj_left_mask = graph.adj_left_mask
+    full_right = (1 << graph.n_right) - 1
+    right_miss = [0] * graph.n_right
+    left_mask = 0
+    if supports_batch(graph):
+        # δ̄(v, R) = |R| − deg(v): one degree sweep rules out every
+        # vertex missing more than k right vertices before the
+        # (sequential, order-sensitive) greedy loop below.
+        degrees = graph.popcount_rows("left")
+        candidates = (degrees >= graph.n_right - k).nonzero()[0].tolist()
+    else:
+        candidates = range(graph.n_left)
+    for v in candidates:
+        missed = full_right & ~adj_left_mask(v)
+        if missed.bit_count() > k:
+            continue
+        if any(right_miss[u] + 1 > k for u in iter_bits(missed)):
+            continue
+        left_mask |= 1 << v
+        for u in iter_bits(missed):
+            right_miss[u] += 1
+    return Biplex.of(iter_bits(left_mask), range(graph.n_right))
 
 
 def initial_solution_right_anchored(graph: BipartiteGraph, k: int) -> Biplex:
     """The symmetric initial solution ``H0' = (L, R0)`` (footnote 1, Section 3.2)."""
-    if supports_masks(graph):
-        adj_right_mask = graph.adj_right_mask
-        full_left = (1 << graph.n_left) - 1
-        left_miss = [0] * graph.n_left
-        right_mask = 0
-        if supports_vector_batch(graph):
-            degrees = graph.popcount_rows("right")
-            candidates = (degrees >= graph.n_left - k).nonzero()[0].tolist()
-        else:
-            candidates = range(graph.n_right)
-        for u in candidates:
-            missed = full_left & ~adj_right_mask(u)
-            if missed.bit_count() > k:
-                continue
-            if any(left_miss[v] + 1 > k for v in iter_bits(missed)):
-                continue
-            right_mask |= 1 << u
-            for v in iter_bits(missed):
-                left_miss[v] += 1
-        return Biplex.of(range(graph.n_left), iter_bits(right_mask))
-    left_set = set(graph.left_vertices())
-    right_set: Set[int] = set()
-    for u in graph.right_vertices():
-        if can_add_right(graph, left_set, right_set, u, k):
-            right_set.add(u)
-    return Biplex.of(left_set, right_set)
+    adj_right_mask = graph.adj_right_mask
+    full_left = (1 << graph.n_left) - 1
+    left_miss = [0] * graph.n_left
+    right_mask = 0
+    if supports_batch(graph):
+        degrees = graph.popcount_rows("right")
+        candidates = (degrees >= graph.n_left - k).nonzero()[0].tolist()
+    else:
+        candidates = range(graph.n_right)
+    for u in candidates:
+        missed = full_left & ~adj_right_mask(u)
+        if missed.bit_count() > k:
+            continue
+        if any(left_miss[v] + 1 > k for v in iter_bits(missed)):
+            continue
+        right_mask |= 1 << u
+        for v in iter_bits(missed):
+            left_miss[v] += 1
+    return Biplex.of(range(graph.n_left), iter_bits(right_mask))
 
 
 def arbitrary_initial_solution(graph: BipartiteGraph, k: int, order: Optional[Sequence[Tuple[str, int]]] = None) -> Biplex:

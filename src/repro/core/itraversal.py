@@ -94,9 +94,9 @@ class ITraversal:
         Large-MBP size thresholds (Section 5); 0 disables them.
     max_results, time_limit, output_order, enum_config, backend:
         Passed through to the traversal engine.  ``backend`` defaults to
-        ``"bitset"`` (the graph is converted to the bitmask substrate for
-        the word-parallel hot paths); pass ``"set"`` — or export
-        ``REPRO_BACKEND=set`` — for plain-set adjacency.
+        ``"bitset"`` (the word-parallel bitmask paths on the input graph);
+        pass ``"packed"`` — or export ``REPRO_BACKEND=packed`` — for the
+        numpy bit-matrix substrate.
     jobs:
         Worker processes for the sharded parallel engine
         (:mod:`repro.parallel`).  ``None`` resolves via ``REPRO_JOBS``

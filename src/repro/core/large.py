@@ -57,8 +57,8 @@ class LargeMBPEnumerator:
         ``"core+order"`` adds degeneracy candidate ordering on top of the
         reduction.
     backend:
-        Adjacency substrate (``"set"``, ``"bitset"`` or ``"packed"``);
-        ``None`` resolves to :func:`repro.graph.protocol.default_backend`
+        Adjacency substrate (``"bitset"`` or ``"packed"``); ``None``
+        resolves to :func:`repro.graph.protocol.default_backend`
         (``bitset`` by default).  The conversion happens *before* the
         reduction, so the peeling also runs on the word-parallel masked
         path — fully vectorized on the ``packed`` backend.

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from ..graph.bipartite import BipartiteGraph, MirrorView
-from .biplex import Biplex, can_add_right, extend_to_maximal
+from ..graph.protocol import mask_of
+from .biplex import Biplex, can_add_right_masked, extend_to_maximal
 from .btraversal import BTraversal
 from .enum_almost_sat import DEFAULT_CONFIG, EnumAlmostSatConfig, enum_local_solutions
 from .itraversal import ITraversal
@@ -126,9 +127,10 @@ def _links_from_solution(
                 # then extend with left-side vertices only — the result is a
                 # maximal k-biplex of G whose right side is contained in the
                 # source's, i.e. a right-shrinking link.
+                left_mask = mask_of(local.left)
+                right_mask = mask_of(local.right)
                 if any(
-                    u not in local.right
-                    and can_add_right(graph, set(local.left), set(local.right), u, k)
+                    can_add_right_masked(graph, left_mask, right_mask, u, k)
                     for u in graph.right_vertices()
                 ):
                     continue

@@ -29,8 +29,7 @@ from ..graph.protocol import (
     as_backend,
     default_backend,
     mask_of,
-    supports_masks,
-    supports_vector_batch,
+    supports_batch,
 )
 from ..prep import PREP_MODES, default_prep, prepare
 from .biplex import (
@@ -121,13 +120,10 @@ class TraversalConfig:
         the serial DFS order.
     backend:
         Adjacency substrate the engine runs on: ``"bitset"`` (the default —
-        the graph is converted to a
-        :class:`~repro.graph.bitset.BitsetBipartiteGraph` and the
-        word-parallel bitmask fast paths kick in), ``"packed"`` (a
-        :class:`~repro.graph.packed.PackedBipartiteGraph`, masks plus
-        ``uint64`` batch rows — vectorized with numpy, ``array('Q')``
-        fallback without) or ``"set"`` (the input
-        graph as-is).  All backends enumerate identical solution sets in
+        the input graph as-is, running the word-parallel bitmask paths) or
+        ``"packed"`` (a :class:`~repro.graph.packed.PackedBipartiteGraph`,
+        masks plus numpy ``uint64`` batch rows; the input graph when numpy
+        is unavailable).  Both backends enumerate identical solution sets in
         identical order; the default follows
         :func:`repro.graph.protocol.default_backend` and can be flipped
         globally with the ``REPRO_BACKEND`` environment variable.
@@ -327,17 +323,12 @@ class ReverseSearchEngine:
                 theta_right=self.config.theta_right,
             )
         self.graph = self.prep_plan.graph
-        self._masked = supports_masks(self.graph)
-        self._batch = supports_vector_batch(self.graph)
         # Whole-side scoring sweeps every row of one side per call; below
         # the crossover the per-member mask loops are cheaper, so each
         # sweep direction is gated on its side's size.
-        self._batch_score_left = (
-            self._batch and self.graph.n_left >= BATCH_SWEEP_MIN_SIDE
-        )
-        self._batch_score_right = (
-            self._batch and self.graph.n_right >= BATCH_SWEEP_MIN_SIDE
-        )
+        batch = supports_batch(self.graph)
+        self._batch_score_left = batch and self.graph.n_left >= BATCH_SWEEP_MIN_SIDE
+        self._batch_score_right = batch and self.graph.n_right >= BATCH_SWEEP_MIN_SIDE
         self.k = k
         self.stats = TraversalStats()
         # The objective strategy (enumerate-all / maximum / top-k): the
@@ -873,22 +864,18 @@ class ReverseSearchEngine:
         # δ̄(u, L) for every u ∈ R and the packed left side depend only on
         # the solution, not on the candidate vertex; computing them once here
         # saves a factor |L| inside EnumAlmostSat (see enum_local_solutions'
-        # solution_right_missing / solution_left_mask).  A vectorized batch
-        # substrate scores the whole right side with one popcount sweep
+        # solution_right_missing / solution_left_mask).  A batch substrate
+        # scores the whole right side with one popcount sweep
         # (δ̄(u, L) = |L| − |Γ(u) ∩ L|) instead of a per-vertex mask loop.
-        left_mask = mask_of(left) if self._masked else None
-        if left_mask is not None and self._batch_score_right:
+        left_mask = mask_of(left)
+        if self._batch_score_right:
             hits = self.graph.popcount_rows("right", left_mask).tolist()
             size = len(left)
             right_missing = {u: size - hits[u] for u in right}
-        elif left_mask is not None:
+        else:
             adj_right_mask = self.graph.adj_right_mask
             right_missing = {
                 u: (left_mask & ~adj_right_mask(u)).bit_count() for u in right
-            }
-        else:
-            right_missing = {
-                u: len(left - self.graph.neighbors_of_right(u)) for u in right
             }
         # Γ(v, R) sizes for the Section 5 almost-satisfying-graph pruning are
         # likewise solution-level: score every left candidate in one sweep.
@@ -1111,11 +1098,9 @@ class ReverseSearchEngine:
         one representative stands in for them and the scan stays proportional
         to the local solution's incident edges instead of to ``|R|``.
 
-        On a vectorized batch substrate the per-edge counting dict is
-        replaced by one ``popcount_rows`` sweep that scores ``|Γ(u) ∩ L|``
-        for the whole right side at once; the candidate pre-filter is
-        otherwise backend-independent, and only the final addability probe
-        dispatches on the mask capability.
+        On a batch substrate the per-edge counting dict is replaced by one
+        ``popcount_rows`` sweep that scores ``|Γ(u) ∩ L|`` for the whole
+        right side at once; the final addability probe runs on the masks.
         """
         graph = self.graph
         k = self.k
@@ -1148,18 +1133,11 @@ class ReverseSearchEngine:
             )
             if representative is not None:
                 candidates.append(representative)
-        if self._masked:
-            left_mask = mask_of(left)
-            right_mask = mask_of(right)
-            return any(
-                can_add_right_masked(graph, left_mask, right_mask, u, k)
-                for u in candidates
-            )
-        from .biplex import can_add_right
-
-        left_set = set(left)
-        right_set = set(right)
-        return any(can_add_right(graph, left_set, right_set, u, k) for u in candidates)
+        left_mask = mask_of(left)
+        right_mask = mask_of(right)
+        return any(
+            can_add_right_masked(graph, left_mask, right_mask, u, k) for u in candidates
+        )
 
 
 def run_with_stats(

@@ -15,12 +15,20 @@ algorithms:
 * induced subgraph reasoning without materialising subgraph copies,
 * cheap iteration over both sides.
 
-Adjacency is stored as one ``set`` per vertex per side, which makes the
-membership tests that dominate the k-biplex predicates O(1).  A bitmask
-backend with word-parallel intersections lives in
-:class:`repro.graph.bitset.BitsetBipartiteGraph`; see
-:mod:`repro.graph.protocol` for the substrate protocol both implement and
-:meth:`BipartiteGraph.to_bitset` for the conversion.
+Adjacency is stored twice per vertex per side, kept in lock-step by every
+mutation: a ``set`` (O(1) membership for the reference predicates and the
+edge-proportional candidate counting) and an arbitrary-precision Python
+``int`` bitmask (bit ``u`` of ``adj_left_mask(v)`` is set iff ``(v, u)`` is
+an edge).  The masks turn the predicates that dominate the enumeration
+algorithms into word-parallel bitwise operations:
+
+* ``Γ(v, S)`` becomes ``adj_left_mask(v) & mask_of(S)``,
+* ``δ̄(v, S)`` becomes ``(mask_of(S) & ~adj_left_mask(v)).bit_count()``,
+* a "can this vertex be added?" check walks only the set bits of a small
+  "missed" mask instead of scanning a Python set per candidate.
+
+See :mod:`repro.graph.protocol` for the substrate protocol and
+:meth:`BipartiteGraph.to_packed` for the numpy bit-matrix substrate.
 """
 
 from __future__ import annotations
@@ -62,9 +70,20 @@ class BipartiteGraph:
     [0, 1]
     >>> g.has_edge(1, 0)
     False
+    >>> bin(g.adj_left_mask(0))
+    '0b11'
     """
 
-    __slots__ = ("_n_left", "_n_right", "_adj_left", "_adj_right", "_num_edges", "_epoch")
+    __slots__ = (
+        "_n_left",
+        "_n_right",
+        "_adj_left",
+        "_adj_right",
+        "_left_masks",
+        "_right_masks",
+        "_num_edges",
+        "_epoch",
+    )
 
     def __init__(
         self,
@@ -78,6 +97,8 @@ class BipartiteGraph:
         self._n_right = n_right
         self._adj_left: List[Set[int]] = [set() for _ in range(n_left)]
         self._adj_right: List[Set[int]] = [set() for _ in range(n_right)]
+        self._left_masks: List[int] = [0] * n_left
+        self._right_masks: List[int] = [0] * n_right
         self._num_edges = 0
         self._epoch = 0
         for left_vertex, right_vertex in edges:
@@ -160,6 +181,8 @@ class BipartiteGraph:
             return False
         self._adj_left[left_vertex].add(right_vertex)
         self._adj_right[right_vertex].add(left_vertex)
+        self._left_masks[left_vertex] |= 1 << right_vertex
+        self._right_masks[right_vertex] |= 1 << left_vertex
         self._num_edges += 1
         self._epoch += 1
         return True
@@ -172,6 +195,8 @@ class BipartiteGraph:
             return False
         self._adj_left[left_vertex].discard(right_vertex)
         self._adj_right[right_vertex].discard(left_vertex)
+        self._left_masks[left_vertex] &= ~(1 << right_vertex)
+        self._right_masks[right_vertex] &= ~(1 << left_vertex)
         self._num_edges -= 1
         self._epoch += 1
         return True
@@ -223,6 +248,7 @@ class BipartiteGraph:
         so cached results over the smaller graph are stale.
         """
         self._adj_left.append(set())
+        self._left_masks.append(0)
         self._n_left += 1
         self._epoch += 1
         return self._n_left - 1
@@ -230,6 +256,7 @@ class BipartiteGraph:
     def add_right_vertex(self) -> int:
         """Grow the right side by one isolated vertex; returns its new id."""
         self._adj_right.append(set())
+        self._right_masks.append(0)
         self._n_right += 1
         self._epoch += 1
         return self._n_right - 1
@@ -258,6 +285,25 @@ class BipartiteGraph:
         if side is Side.LEFT:
             return self.neighbors_of_left(vertex)
         return self.neighbors_of_right(vertex)
+
+    # -- adjacency masks (hot path: no bounds checks beyond list indexing) -- #
+    def adj_left_mask(self, left_vertex: int) -> int:
+        """Bitmask over right ids of the neighbours of ``left_vertex``."""
+        return self._left_masks[left_vertex]
+
+    def adj_right_mask(self, right_vertex: int) -> int:
+        """Bitmask over left ids of the neighbours of ``right_vertex``."""
+        return self._right_masks[right_vertex]
+
+    @property
+    def full_left_mask(self) -> int:
+        """Mask with one bit per left vertex (the left universe ``L``)."""
+        return (1 << self._n_left) - 1
+
+    @property
+    def full_right_mask(self) -> int:
+        """Mask with one bit per right vertex (the right universe ``R``)."""
+        return (1 << self._n_right) - 1
 
     def degree_of_left(self, left_vertex: int) -> int:
         """Degree of a left vertex."""
@@ -363,33 +409,19 @@ class BipartiteGraph:
             swapped.add_edge(right_vertex, left_vertex)
         return swapped
 
-    def to_bitset(self) -> "BipartiteGraph":
-        """Return a bitset-backed copy of this graph.
-
-        The returned :class:`repro.graph.bitset.BitsetBipartiteGraph`
-        compares equal to ``self`` and answers every set query identically,
-        but additionally exposes per-vertex adjacency bitmasks that the core
-        algorithms exploit for word-parallel fast paths.
-        """
-        from .bitset import BitsetBipartiteGraph
-
-        return BitsetBipartiteGraph(self._n_left, self._n_right, self.edges())
-
     def to_packed(self) -> "BipartiteGraph":
-        """Return a packed copy of this graph.
+        """Return a :class:`repro.graph.packed.PackedBipartiteGraph` copy.
 
-        With numpy available the returned
-        :class:`repro.graph.packed.PackedBipartiteGraph` exposes contiguous
-        ``uint64`` bit-matrix rows for whole-side vectorized predicates;
-        without numpy the ``array('Q')``-backed
-        :class:`repro.graph.packed.ArrayPackedBipartiteGraph` provides the
-        same batch surface (bit-identical results, no vectorization).
-        Either way the copy compares equal to ``self`` and answers every set
-        and mask query identically.
+        The copy compares equal to ``self`` and answers every set and mask
+        query identically, but additionally exposes contiguous ``uint64``
+        bit-matrix rows for whole-side vectorized predicates.  Requires
+        numpy >= 2.0 (raises
+        :class:`~repro.graph.packed.PackedBackendUnavailable` otherwise);
+        ``as_backend(graph, "packed")`` falls back to ``graph`` itself.
         """
-        from .packed import packed_bipartite_class
+        from .packed import PackedBipartiteGraph
 
-        return packed_bipartite_class()(self._n_left, self._n_right, self.edges())
+        return PackedBipartiteGraph(self._n_left, self._n_right, self.edges())
 
     # ------------------------------------------------------------------ #
     # Dunder / helpers
@@ -539,45 +571,12 @@ class MirrorView:
     def missing_right(self, right_vertex: int, left_subset: Iterable[int]) -> int:
         return self._graph.missing_left(right_vertex, left_subset)
 
-    # -- adjacency-mask capability, forwarded with the sides exchanged ---- #
-    @property
-    def supports_masks(self) -> bool:
-        return bool(getattr(self._graph, "supports_masks", False))
-
+    # -- adjacency masks, forwarded with the sides exchanged ------------- #
     def adj_left_mask(self, left_vertex: int) -> int:
         return self._graph.adj_right_mask(left_vertex)
 
     def adj_right_mask(self, right_vertex: int) -> int:
         return self._graph.adj_left_mask(right_vertex)
-
-    # -- batch-row capability, forwarded with the sides exchanged --------- #
-    @property
-    def supports_batch(self) -> bool:
-        return bool(getattr(self._graph, "supports_batch", False))
-
-    @property
-    def batch_vectorized(self) -> bool:
-        return bool(getattr(self._graph, "batch_vectorized", False))
-
-    @staticmethod
-    def _flipped(side):
-        if isinstance(side, Side):
-            return Side.RIGHT if side is Side.LEFT else Side.LEFT
-        if side in ("left", "right"):
-            return "right" if side == "left" else "left"
-        raise ValueError(f"side must be 'left', 'right' or a Side enum, got {side!r}")
-
-    def rows(self, side):
-        return self._graph.rows(self._flipped(side))
-
-    def row_bits(self, side) -> int:
-        return self._graph.row_bits(self._flipped(side))
-
-    def popcount_rows(self, side, mask=None):
-        return self._graph.popcount_rows(self._flipped(side), mask)
-
-    def common_neighbors_matrix(self, side, anchors=None, others=None):
-        return self._graph.common_neighbors_matrix(self._flipped(side), anchors, others)
 
 
 VertexSet = FrozenSet[int]

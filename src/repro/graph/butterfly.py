@@ -10,18 +10,16 @@ documentation can compare against them.
 
 The butterfly counting routine follows the vertex-priority idea of Wang et
 al. (VLDB 2019) in spirit: wedges are accumulated from the side that makes
-the wedge-centred work smaller.  On a mask-capable substrate
-(:func:`repro.graph.protocol.supports_masks`) the per-pair common
-neighbourhoods are word-parallel ``&`` + popcount operations instead of
-per-vertex dictionary accumulation.  On a vectorized batch substrate
-(:func:`repro.graph.protocol.supports_vector_batch`, the numpy ``packed``
-classes) the pairwise common-neighbour counts come from blocked, whole-row
-``np.bitwise_and`` + popcount broadcasts over the packed bit-matrix — no
-per-vertex Python loop at all.  Per-edge butterfly supports ride the same
-kernel: support((v, u)) falls out of one blocked common-neighbour matrix
-and one integer matmul against the unpacked incidence matrix.  All
-implementations return identical counts, so ``set``, ``bitset`` and
-``packed`` graphs stay drop-in equivalent.
+the wedge-centred work smaller, and the per-pair common neighbourhoods are
+word-parallel ``&`` + popcount operations on the adjacency masks.  On a
+batch substrate (:func:`repro.graph.protocol.supports_batch`, the numpy
+``packed`` classes) the pairwise common-neighbour counts come from blocked,
+whole-row ``np.bitwise_and`` + popcount broadcasts over the packed
+bit-matrix — no per-vertex Python loop at all.  Per-edge butterfly supports
+ride the same kernel: support((v, u)) falls out of one blocked
+common-neighbour matrix and one integer matmul against the unpacked
+incidence matrix.  Both implementations return identical counts, so
+``bitset`` and ``packed`` graphs stay drop-in equivalent.
 
 k-bitruss peeling is *incremental*: the butterfly supports are computed
 once — on the vectorized kernel when the substrate allows — and removing an
@@ -34,11 +32,11 @@ which beats any whole-row re-scoring of the affected anchor rows.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Dict, Iterator, Optional, Tuple
 
 from .bipartite import BipartiteGraph
-from .protocol import iter_bits, supports_masks, supports_vector_batch
+from .protocol import iter_bits, supports_batch
 
 
 def count_butterflies(graph: BipartiteGraph) -> int:
@@ -51,7 +49,7 @@ def count_butterflies(graph: BipartiteGraph) -> int:
     materialising the pairs explicitly.  A batch-capable substrate takes
     the fully vectorized pairwise route instead.
     """
-    if supports_vector_batch(graph):
+    if supports_batch(graph):
         return _count_butterflies_packed(graph)
     return _count_from_side(graph, from_left=_pivot_from_left(graph))
 
@@ -196,34 +194,7 @@ def _pivot_from_left(graph: BipartiteGraph) -> bool:
 
 
 def _count_from_side(graph: BipartiteGraph, from_left: bool) -> int:
-    """Count butterflies by accumulating co-neighbour pair counts."""
-    if supports_masks(graph):
-        return _count_from_side_masked(graph, from_left)
-    total = 0
-    if from_left:
-        anchors = graph.left_vertices()
-        neighbors = graph.neighbors_of_left
-    else:
-        anchors = graph.right_vertices()
-        neighbors = graph.neighbors_of_right
-    for anchor in anchors:
-        pair_counts: Dict[int, int] = defaultdict(int)
-        anchor_neighbors = neighbors(anchor)
-        for middle in anchor_neighbors:
-            if from_left:
-                fan = graph.neighbors_of_right(middle)
-            else:
-                fan = graph.neighbors_of_left(middle)
-            for other in fan:
-                if other > anchor:
-                    pair_counts[other] += 1
-        for count in pair_counts.values():
-            total += count * (count - 1) // 2
-    return total
-
-
-def _count_from_side_masked(graph, from_left: bool) -> int:
-    """Bitmask twin of :func:`_count_from_side`.
+    """Count butterflies by accumulating co-neighbour pair counts.
 
     For each anchor, the two-hop peers are gathered as the union of its
     middles' adjacency masks, and each peer's common-neighbour count is one
@@ -257,32 +228,18 @@ def edge_butterfly_counts(graph: BipartiteGraph) -> Dict[Tuple[int, int], int]:
     The butterfly support of edge ``(v, u)`` equals the number of pairs
     ``(v', u')`` with ``v' ≠ v``, ``u' ≠ u`` such that all four edges exist.
     """
-    if supports_vector_batch(graph):
+    if supports_batch(graph):
         return _edge_butterfly_counts_packed(graph)
-    if supports_masks(graph):
-        adj_left = graph.adj_left_mask
-        adj_right = graph.adj_right_mask
-        support: Dict[Tuple[int, int], int] = {}
-        for v, u in graph.edges():
-            adj_v = adj_left(v)
-            count = 0
-            # Every v' adjacent to u shares at least the common neighbour u
-            # with v; the remaining common neighbours are the u' candidates.
-            for v_prime in iter_bits(adj_right(u) & ~(1 << v)):
-                count += (adj_left(v_prime) & adj_v).bit_count() - 1
-            support[(v, u)] = count
-        return support
-    support = {edge: 0 for edge in graph.edges()}
-    for v, u in list(support.keys()):
+    adj_left = graph.adj_left_mask
+    adj_right = graph.adj_right_mask
+    support: Dict[Tuple[int, int], int] = {}
+    for v, u in graph.edges():
+        adj_v = adj_left(v)
         count = 0
-        for u_prime in graph.neighbors_of_left(v):
-            if u_prime == u:
-                continue
-            for v_prime in graph.neighbors_of_right(u):
-                if v_prime == v:
-                    continue
-                if graph.has_edge(v_prime, u_prime):
-                    count += 1
+        # Every v' adjacent to u shares at least the common neighbour u
+        # with v; the remaining common neighbours are the u' candidates.
+        for v_prime in iter_bits(adj_right(u) & ~(1 << v)):
+            count += (adj_left(v_prime) & adj_v).bit_count() - 1
         support[(v, u)] = count
     return support
 
@@ -293,18 +250,11 @@ def _butterfly_mates(graph: BipartiteGraph, v: int, u: int) -> Iterator[Tuple[in
     Assumes ``(v, u)`` itself has already been removed from ``graph``, so
     neither endpoint appears in the other's adjacency.
     """
-    if supports_masks(graph):
-        adj_right = graph.adj_right_mask
-        fan_u = adj_right(u)
-        for u_prime in iter_bits(graph.adj_left_mask(v)):
-            for v_prime in iter_bits(fan_u & adj_right(u_prime)):
-                yield v_prime, u_prime
-        return
-    fan_u = graph.neighbors_of_right(u)
-    for u_prime in graph.neighbors_of_left(v):
-        for v_prime in graph.neighbors_of_right(u_prime):
-            if v_prime in fan_u:
-                yield v_prime, u_prime
+    adj_right = graph.adj_right_mask
+    fan_u = adj_right(u)
+    for u_prime in iter_bits(graph.adj_left_mask(v)):
+        for v_prime in iter_bits(fan_u & adj_right(u_prime)):
+            yield v_prime, u_prime
 
 
 def k_bitruss(
@@ -334,7 +284,7 @@ def k_bitruss(
     working = graph.copy()
     if k == 0:
         return working
-    # On a vectorized batch substrate the support computation below runs on
+    # On a batch substrate the support computation below runs on
     # the blocked whole-row kernel; the peeling itself stays incremental on
     # the mask paths deliberately.  Every peeled edge has support < k, so
     # the incremental updates walk fewer than k butterflies per removal —

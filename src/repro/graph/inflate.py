@@ -17,21 +17,20 @@ from __future__ import annotations
 from typing import FrozenSet, Tuple
 
 from .bipartite import BipartiteGraph
-from .general import BitsetGraph, Graph
+from .general import Graph
 from .protocol import BACKENDS
 
 
-def inflate(graph: BipartiteGraph, backend: str = "set") -> Graph:
+def inflate(graph: BipartiteGraph, backend: str = "bitset") -> Graph:
     """Return the inflated general graph of ``graph``.
 
     The output has ``n_left + n_right`` vertices.  Within-side edges form
     two cliques; cross-side edges are copied from the bipartite graph.
-    ``backend="bitset"`` builds a mask-capable :class:`BitsetGraph`, which
-    lets the k-plex enumerator running on the inflation use its
-    word-parallel fast paths; ``backend="packed"`` builds a
-    :class:`repro.graph.packed.PackedGraph` (masks plus numpy ``uint64``
-    rows) or, when numpy is absent, the ``array('Q')``-backed
-    :class:`repro.graph.packed.ArrayPackedGraph` fallback.
+    ``backend="bitset"`` builds a :class:`Graph` (sets plus adjacency
+    masks, which the k-plex enumerator's word-parallel paths use);
+    ``backend="packed"`` builds a :class:`repro.graph.packed.PackedGraph`
+    (masks plus numpy ``uint64`` rows) when numpy is available and a
+    :class:`Graph` otherwise.
 
     Warning: the inflated graph has ``Θ(|L|² + |R|²)`` edges, which is the
     very reason the inflation baseline does not scale (the paper reports
@@ -42,12 +41,12 @@ def inflate(graph: BipartiteGraph, backend: str = "set") -> Graph:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     n_left = graph.n_left
     n_right = graph.n_right
+    graph_class = Graph
     if backend == "packed":
-        from .packed import packed_graph_class
+        from .packed import PackedGraph, packed_available
 
-        graph_class = packed_graph_class()
-    else:
-        graph_class = BitsetGraph if backend == "bitset" else Graph
+        if packed_available():
+            graph_class = PackedGraph
     inflated = graph_class(n_left + n_right)
     for u in range(n_left):
         for v in range(u + 1, n_left):

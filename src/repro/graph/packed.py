@@ -1,16 +1,17 @@
 """Packed adjacency backend: contiguous ``uint64`` bit-matrices.
 
-:class:`PackedBipartiteGraph` is the third adjacency substrate behind the
-:mod:`repro.graph.protocol` surface (after plain sets and Python-int
-bitmasks).  Adjacency is stored as one *packed row* per vertex inside a
-contiguous numpy ``uint64`` matrix: bit ``u`` of row ``v`` of the left
-matrix (word ``u // 64``, bit ``u % 64``) is set iff ``(v, u)`` is an edge,
-and symmetrically for the right matrix.
+:class:`PackedBipartiteGraph` is the second adjacency substrate behind the
+:mod:`repro.graph.protocol` surface (after the set-plus-bitmask
+:class:`~repro.graph.bipartite.BipartiteGraph`).  Adjacency is additionally
+stored as one *packed row* per vertex inside a contiguous numpy ``uint64``
+matrix: bit ``u`` of row ``v`` of the left matrix (word ``u // 64``, bit
+``u % 64``) is set iff ``(v, u)`` is an edge, and symmetrically for the
+right matrix.
 
-The class *is* a :class:`~repro.graph.bitset.BitsetBipartiteGraph`, so every
-existing mask-based fast path (the traversal engines, iMB, the k-plex
-enumerator, δ-QB checks) runs on it unchanged and produces identical
-solution sets.  What the packed rows add is the *batch* capability
+The class *is* a :class:`~repro.graph.bipartite.BipartiteGraph`, so every
+mask-based path (the traversal engines, iMB, the k-plex enumerator, δ-QB
+checks) runs on it unchanged and produces identical solution sets.  What
+the packed rows add is the *batch* capability
 (:func:`repro.graph.protocol.supports_batch`): whole-side vectorized
 predicates in the style of the BBK implementations (Baudin et al., 2024)
 and the parallel butterfly counters of Wang et al. (VLDB 2019) —
@@ -26,29 +27,19 @@ enumeration-side Γ / δ̄ predicates detect the capability and switch to these
 whole-row operations instead of per-vertex Python-int loops; see
 ``graph/butterfly.py``, ``graph/cores.py`` and ``core/{biplex,traversal}``.
 
-numpy is an *optional* dependency.  When a capable numpy (>= 2.0, for
-``np.bitwise_count``) is importable, ``to_packed()`` / ``as_backend(...,
-"packed")`` build the vectorized classes above.  Without it they fall back
-to :class:`ArrayPackedBipartiteGraph` / :class:`ArrayPackedGraph` — the same
-word layout held in ``array('Q')`` rows behind the identical ``rows`` /
-``popcount_rows`` / ``common_neighbors_matrix`` surface — so ``--backend
-packed`` degrades gracefully instead of erroring.  The fallback advertises
-``supports_batch`` but not ``batch_vectorized``
-(:func:`repro.graph.protocol.supports_vector_batch`), so the algorithms
-keep their Python-int mask fast paths rather than looping over words in
-Python.  Constructing the numpy classes *directly* without numpy still
-raises a clear :class:`PackedBackendUnavailable`.
+numpy (>= 2.0, for ``np.bitwise_count``) is an *optional* dependency:
+constructing these classes without it raises
+:class:`PackedBackendUnavailable`, and ``as_backend(..., "packed")``
+returns the input mask graph unchanged instead.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .bipartite import Side
-from .bitset import BitsetBipartiteGraph
-from .general import BitsetGraph
+from .bipartite import BipartiteGraph, Side
+from .general import Graph
 
 try:  # pragma: no cover - exercised via packed_available() in both states
     import numpy as _np
@@ -61,9 +52,9 @@ WORD_BITS = 64
 _WORD_MASK = (1 << WORD_BITS) - 1
 
 _NUMPY_ERROR = (
-    "the vectorized 'packed' classes require numpy >= 2.0 (np.bitwise_count); "
-    "install numpy, or build the graph via to_packed() / as_backend(..., "
-    "'packed') to get the numpy-free array('Q') fallback"
+    "the 'packed' classes require numpy >= 2.0 (np.bitwise_count); install "
+    "numpy, or use as_backend(..., 'packed'), which keeps the mask graph "
+    "without it"
 )
 
 
@@ -78,12 +69,11 @@ class PackedBackendUnavailable(RuntimeError):
 
 
 def packed_available() -> bool:
-    """Whether the *vectorized* packed classes can be used.
+    """Whether the packed classes can be used.
 
-    Requires a numpy with ``bitwise_count`` (>= 2.0).  The packed *backend*
-    itself is always available: without numpy, conversions select the
-    ``array('Q')`` fallback classes instead (same batch surface, no
-    vectorization).
+    Requires a numpy with ``bitwise_count`` (>= 2.0).  The ``packed``
+    *backend* name is accepted either way: without numpy,
+    ``as_backend(..., "packed")`` resolves to the mask graph.
     """
     return _np is not None and hasattr(_np, "bitwise_count")
 
@@ -97,15 +87,6 @@ def _require_numpy():
 def words_for(n_bits: int) -> int:
     """Number of 64-bit words needed to hold ``n_bits`` bits."""
     return (max(n_bits, 0) + WORD_BITS - 1) // WORD_BITS
-
-
-def mask_words(mask: int, n_bits: int) -> List[int]:
-    """Split an arbitrary-precision Python-int bitmask into 64-bit words.
-
-    Pure-Python twin of :func:`pack_mask`; also used by the ``array('Q')``
-    fallback classes, so it must not touch numpy.
-    """
-    return [(mask >> (WORD_BITS * w)) & _WORD_MASK for w in range(words_for(n_bits))]
 
 
 def pack_mask(mask: int, n_bits: int):
@@ -139,17 +120,8 @@ def pack_indices(indices, n_bits: int):
 
 
 def unpack_row(row) -> int:
-    """Inverse of :func:`pack_mask`: a packed row back to a Python-int mask.
-
-    Accepts a numpy ``uint64`` row or any word sequence (e.g. the fallback's
-    ``array('Q')`` rows).
-    """
-    if hasattr(row, "tobytes"):
-        return int.from_bytes(row.tobytes(), "little")
-    mask = 0
-    for w, word in enumerate(row):
-        mask |= word << (WORD_BITS * w)
-    return mask
+    """Inverse of :func:`pack_mask`: a packed ``uint64`` row back to a Python-int mask."""
+    return int.from_bytes(row.tobytes(), "little")
 
 
 def _side_key(side) -> str:
@@ -175,11 +147,11 @@ def _rows_from_masks(masks: Sequence[int], n_bits: int):
     return np.frombuffer(buffer, dtype=np.uint64).reshape(len(masks), n_words)
 
 
-class PackedBipartiteGraph(BitsetBipartiteGraph):
-    """A bitset bipartite graph that also maintains packed ``uint64`` rows.
+class PackedBipartiteGraph(BipartiteGraph):
+    """A bipartite graph that also maintains packed ``uint64`` rows.
 
-    Keeps the Python-int masks of the parent class (so every masked fast
-    path applies) *and* two contiguous numpy matrices — ``(n_left,
+    Keeps the Python-int masks of the parent class (so every mask path
+    applies) *and* two contiguous numpy matrices — ``(n_left,
     words(n_right))`` and ``(n_right, words(n_left))`` — kept in lock-step
     by ``add_edge`` / ``remove_edge``.
 
@@ -194,12 +166,8 @@ class PackedBipartiteGraph(BitsetBipartiteGraph):
 
     __slots__ = ("_left_rows", "_right_rows")
 
-    #: Capability flag: the batch row surface is available.
+    #: Capability flag: the vectorized batch row surface is available.
     supports_batch = True
-
-    #: Capability flag: the batch surface is numpy-vectorized (whole-side
-    #: sweeps run at C speed, not as Python word loops).
-    batch_vectorized = True
 
     def __init__(
         self,
@@ -333,21 +301,18 @@ class PackedBipartiteGraph(BitsetBipartiteGraph):
         )
 
 
-class PackedGraph(BitsetGraph):
+class PackedGraph(Graph):
     """General-graph sibling of :class:`PackedBipartiteGraph`.
 
     Used by the inflation pipeline (``inflate(..., backend="packed")``); the
-    k-plex enumerator consumes it through the inherited mask capability,
-    while batch consumers can read the single ``(n, words(n))`` matrix.
+    k-plex enumerator consumes it through the inherited masks, while batch
+    consumers can read the single ``(n, words(n))`` matrix.
     """
 
     __slots__ = ("_rows",)
 
-    #: Capability flag: the batch row surface is available.
+    #: Capability flag: the vectorized batch row surface is available.
     supports_batch = True
-
-    #: Capability flag: the batch surface is numpy-vectorized.
-    batch_vectorized = True
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         _require_numpy()
@@ -384,226 +349,3 @@ class PackedGraph(BitsetGraph):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PackedGraph(n={self._n}, num_edges={self._num_edges})"
-
-
-# ---------------------------------------------------------------------- #
-# numpy-free fallback: the same packed surface over array('Q') rows
-# ---------------------------------------------------------------------- #
-def _is_bool_flag(value) -> bool:
-    """Whether ``value`` is a Python or numpy boolean (not an index).
-
-    numpy's boolean scalar is not a ``bool`` subclass but *is* index-like,
-    so an ``isinstance(value, bool)`` test alone would silently misread a
-    numpy boolean mask as the index array ``[0, 1, ...]``.  Matched by type
-    name (``numpy.bool`` since numpy 2, ``numpy.bool_`` before) so the
-    fallback stays importable without numpy.
-    """
-    return isinstance(value, bool) or type(value).__name__ in ("bool", "bool_")
-
-
-def _select_rows(rows: Sequence, selector) -> Sequence:
-    """Index a row list the way numpy fancy indexing would.
-
-    Accepts ``None`` (all rows), a ``slice``, a boolean mask (Python or
-    numpy booleans), or an iterable of row indices — the selector forms the
-    batch consumers pass to ``common_neighbors_matrix``.
-    """
-    if selector is None:
-        return rows
-    if isinstance(selector, slice):
-        return rows[selector]
-    selected = list(selector)
-    if selected and _is_bool_flag(selected[0]):
-        return [row for row, flag in zip(rows, selected) if flag]
-    return [rows[index] for index in selected]
-
-
-class ArrayPackedBipartiteGraph(BitsetBipartiteGraph):
-    """numpy-free twin of :class:`PackedBipartiteGraph` over ``array('Q')`` rows.
-
-    Same word layout (bit ``u`` of row ``v`` = word ``u // 64``, bit
-    ``u % 64``), same ``rows`` / ``popcount_rows`` /
-    ``common_neighbors_matrix`` surface, bit-identical results — but plain
-    Python word loops instead of vectorized sweeps, so it advertises
-    ``supports_batch`` without ``batch_vectorized`` and the algorithms keep
-    their Python-int mask fast paths.  Selected automatically by
-    ``to_packed()`` / ``as_backend(..., "packed")`` when numpy is absent.
-
-    Examples
-    --------
-    >>> g = ArrayPackedBipartiteGraph(2, 3, edges=[(0, 0), (0, 2), (1, 1)])
-    >>> g.rows("left")[0][0]
-    5
-    >>> g.popcount_rows("left")
-    [2, 1]
-    """
-
-    __slots__ = ("_left_rows", "_right_rows")
-
-    #: Capability flag: the batch row surface is available.
-    supports_batch = True
-
-    #: The surface is plain Python — whole-side sweeps would be word loops.
-    batch_vectorized = False
-
-    def __init__(
-        self,
-        n_left: int,
-        n_right: int,
-        edges: Iterable[Tuple[int, int]] = (),
-    ) -> None:
-        # The rows must exist before the base constructor replays ``edges``
-        # through our ``add_edge`` override.
-        self._left_rows = [
-            array("Q", [0] * words_for(n_right)) for _ in range(max(n_left, 0))
-        ]
-        self._right_rows = [
-            array("Q", [0] * words_for(n_left)) for _ in range(max(n_right, 0))
-        ]
-        super().__init__(n_left, n_right, edges)
-
-    def add_edge(self, left_vertex: int, right_vertex: int) -> bool:
-        if not super().add_edge(left_vertex, right_vertex):
-            return False
-        self._left_rows[left_vertex][right_vertex >> 6] |= 1 << (right_vertex & 63)
-        self._right_rows[right_vertex][left_vertex >> 6] |= 1 << (left_vertex & 63)
-        return True
-
-    def remove_edge(self, left_vertex: int, right_vertex: int) -> bool:
-        if not super().remove_edge(left_vertex, right_vertex):
-            return False
-        self._left_rows[left_vertex][right_vertex >> 6] &= _WORD_MASK ^ (
-            1 << (right_vertex & 63)
-        )
-        self._right_rows[right_vertex][left_vertex >> 6] &= _WORD_MASK ^ (
-            1 << (left_vertex & 63)
-        )
-        return True
-
-    def add_left_vertex(self) -> int:
-        # Genuinely in-place word-append: array('Q') rows grow with
-        # ``row.append(0)`` when the new id crosses a word boundary.
-        self._left_rows.append(array("Q", [0] * words_for(self._n_right)))
-        if words_for(self._n_left + 1) > words_for(self._n_left):
-            for row in self._right_rows:
-                row.append(0)
-        return super().add_left_vertex()
-
-    def add_right_vertex(self) -> int:
-        self._right_rows.append(array("Q", [0] * words_for(self._n_left)))
-        if words_for(self._n_right + 1) > words_for(self._n_right):
-            for row in self._left_rows:
-                row.append(0)
-        return super().add_right_vertex()
-
-    def rows(self, side) -> List[array]:
-        """The packed rows of ``side``: a list with one ``array('Q')`` per vertex.
-
-        The returned list is the live storage — treat it as read-only.
-        """
-        return self._left_rows if _side_key(side) == "left" else self._right_rows
-
-    def row_bits(self, side) -> int:
-        """Number of *meaningful* bits per row of ``side``'s matrix."""
-        return self._n_right if _side_key(side) == "left" else self._n_left
-
-    def popcount_rows(self, side, mask=None) -> List[int]:
-        """``|Γ(v) ∩ S|`` for every vertex ``v`` of ``side``, as a list of ints.
-
-        Bit-identical to the numpy implementation (``mask`` may be a
-        Python-int bitmask, a word sequence, or ``None`` for the full side).
-        """
-        rows = self.rows(side)
-        if mask is None:
-            return [sum(word.bit_count() for word in row) for row in rows]
-        if isinstance(mask, int):
-            mask = mask_words(mask, self.row_bits(side))
-        return [
-            sum((word & selected).bit_count() for word, selected in zip(row, mask))
-            for row in rows
-        ]
-
-    def common_neighbors_matrix(self, side, anchors=None, others=None) -> List[List[int]]:
-        """Pairwise common-neighbour counts of ``side`` as a list of lists."""
-        rows = self.rows(side)
-        anchor_rows = _select_rows(rows, anchors)
-        other_rows = _select_rows(rows, others)
-        return [
-            [
-                sum((a & b).bit_count() for a, b in zip(anchor_row, other_row))
-                for other_row in other_rows
-            ]
-            for anchor_row in anchor_rows
-        ]
-
-    def to_packed(self) -> "ArrayPackedBipartiteGraph":
-        """Already packed: return ``self`` (no copy)."""
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ArrayPackedBipartiteGraph(n_left={self._n_left}, "
-            f"n_right={self._n_right}, num_edges={self._num_edges})"
-        )
-
-
-class ArrayPackedGraph(BitsetGraph):
-    """numpy-free twin of :class:`PackedGraph` over ``array('Q')`` rows."""
-
-    __slots__ = ("_rows",)
-
-    #: Capability flag: the batch row surface is available.
-    supports_batch = True
-
-    #: The surface is plain Python — whole-side sweeps would be word loops.
-    batch_vectorized = False
-
-    def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
-        self._rows = [array("Q", [0] * words_for(n)) for _ in range(max(n, 0))]
-        super().__init__(n, edges)
-
-    def add_edge(self, u: int, v: int) -> bool:
-        if not super().add_edge(u, v):
-            return False
-        self._rows[u][v >> 6] |= 1 << (v & 63)
-        self._rows[v][u >> 6] |= 1 << (u & 63)
-        return True
-
-    def rows(self) -> List[array]:
-        """The packed adjacency rows (one ``array('Q')`` per vertex)."""
-        return self._rows
-
-    def popcount_rows(self, mask=None) -> List[int]:
-        """``|Γ(u) ∩ S|`` for every vertex, as a list of ints."""
-        if mask is None:
-            return [sum(word.bit_count() for word in row) for row in self._rows]
-        if isinstance(mask, int):
-            mask = mask_words(mask, self._n)
-        return [
-            sum((word & selected).bit_count() for word, selected in zip(row, mask))
-            for row in self._rows
-        ]
-
-    def to_packed(self) -> "ArrayPackedGraph":
-        """Already packed: return ``self`` (no copy)."""
-        return self
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArrayPackedGraph(n={self._n}, num_edges={self._num_edges})"
-
-
-# ---------------------------------------------------------------------- #
-# Backend selection
-# ---------------------------------------------------------------------- #
-def packed_bipartite_class():
-    """The bipartite class ``to_packed()`` should build in this environment.
-
-    The vectorized :class:`PackedBipartiteGraph` when a capable numpy is
-    importable, the :class:`ArrayPackedBipartiteGraph` fallback otherwise.
-    """
-    return PackedBipartiteGraph if packed_available() else ArrayPackedBipartiteGraph
-
-
-def packed_graph_class():
-    """General-graph sibling of :func:`packed_bipartite_class`."""
-    return PackedGraph if packed_available() else ArrayPackedGraph

@@ -1,54 +1,47 @@
 """The bipartite graph *substrate* protocol and bitmask helpers.
 
 The enumeration algorithms never depend on a concrete graph class — they
-only use the query surface below: side sizes, adjacency sets and the
-Γ / δ̄ primitives of Section 2.  Any object implementing
-:class:`BipartiteSubstrate` (``BipartiteGraph``, ``BitsetBipartiteGraph``,
-``MirrorView``) can be handed to the traversal engines.
+only use the query surface below: side sizes, adjacency sets, per-vertex
+adjacency bitmasks and the Γ / δ̄ primitives of Section 2.  Any object
+implementing :class:`BipartiteSubstrate` (``BipartiteGraph``,
+``PackedBipartiteGraph``, ``MirrorView``) can be handed to the traversal
+engines.
 
-A substrate may additionally advertise optional capabilities, tested with
-duck-typed flags so algorithms degrade gracefully:
+Every substrate keeps one Python ``int`` bitmask per vertex whose set bits
+are the neighbour ids on the other side.  Masks turn the hot predicates —
+``Γ(v, S)`` intersections, ``δ̄(v, S)`` counts, the "can this vertex be
+added?" checks — into word-parallel bitwise operations
+(``&``/``~``/``int.bit_count``), which is where the BBK (Baudin et al.,
+2024) and symmetric-BK (Yu & Long, 2022) implementations get their
+constant-factor speedups from.
 
-* *adjacency masks* (:func:`supports_masks`) — one Python ``int`` per
-  vertex whose set bits are the neighbour ids on the other side.  Masks
-  turn the hot predicates — ``Γ(v, S)`` intersections, ``δ̄(v, S)`` counts,
-  ``can_add_left/right`` — into word-parallel bitwise operations
-  (``&``/``~``/``int.bit_count``), which is where the BBK (Baudin et al.,
-  2024) and symmetric-BK (Yu & Long, 2022) implementations get their
-  constant-factor speedups from.
-* *batch rows* (:func:`supports_batch`) — ``uint64`` bit-matrices, one
-  packed row per vertex, behind the ``rows`` / ``popcount_rows`` /
-  ``common_neighbors_matrix`` surface.  When the rows are numpy-backed
-  (:func:`supports_vector_batch`,
-  :class:`repro.graph.packed.PackedBipartiteGraph`), whole-side predicates
-  (butterfly / bitruss edge supports, core-peeling degree updates, the
-  enumeration-side Γ / δ̄ candidate scoring) become single vectorized
-  ``np.bitwise_and`` + popcount sweeps, the layout used by BBK-style
-  implementations and the parallel butterfly counters of Wang et al.
-  (VLDB 2019).  The numpy-free
-  :class:`~repro.graph.packed.ArrayPackedBipartiteGraph` fallback keeps the
-  identical surface over ``array('Q')`` rows without the vectorization.
+A substrate may additionally advertise *batch rows*
+(:func:`supports_batch`, :class:`repro.graph.packed.PackedBipartiteGraph`):
+numpy ``uint64`` bit-matrices, one packed row per vertex, behind the
+``rows`` / ``popcount_rows`` / ``common_neighbors_matrix`` surface.  There
+whole-side predicates (butterfly / bitruss edge supports, core-peeling
+degree updates, the enumeration-side Γ / δ̄ candidate scoring) become single
+vectorized ``np.bitwise_and`` + popcount sweeps, the layout used by
+BBK-style implementations and the parallel butterfly counters of Wang et
+al. (VLDB 2019).
 
 The backend matrix:
 
-==========  ====================  =======================  ====================
-backend     representation        requires                 batch coverage
-==========  ====================  =======================  ====================
-``set``     adjacency sets        nothing                  none
-``bitset``  + Python-int masks    nothing (the default)    none (mask paths)
-``packed``  + ``uint64`` rows     nothing — numpy >= 2.0   full when numpy is
-            per vertex            enables vectorization    present (butterfly,
-                                                           bitruss, cores, Γ/δ̄
-                                                           predicates); the
-                                                           ``array('Q')``
-                                                           fallback keeps the
-                                                           surface and rides
-                                                           the mask paths
-==========  ====================  =======================  ====================
+==========  ====================  ======================  ====================
+backend     representation        requires                batch coverage
+==========  ====================  ======================  ====================
+``bitset``  adjacency sets +      nothing (the default)   none (mask paths)
+            Python-int masks
+``packed``  + ``uint64`` rows     numpy >= 2.0; without   full (butterfly,
+            per vertex            it the ``bitset``       bitruss, cores, Γ/δ̄
+                                  graph is used           predicates)
+==========  ====================  ======================  ====================
 
-All backends produce identical solution sets; the equivalence suite and the
-cross-backend differential harness (``tests/test_backend_differential.py``)
-pin that property.
+Both backends produce identical solution sets; the cross-backend
+differential harness (``tests/test_backend_differential.py``) pins that
+property against the brute-force oracle, whose reference predicates
+(:func:`repro.core.biplex.is_k_biplex` and friends) read only the
+adjacency sets.
 
 Orthogonal to the backend axis sits the *preprocessing* axis
 (:mod:`repro.prep`, selected via ``prep=`` / ``REPRO_PREP``): the engines
@@ -57,7 +50,7 @@ first convert the input to the chosen substrate, then hand it to
 (α,β)-core / k-bitruss fixpoint and compute a degeneracy candidate
 ordering.  Reductions preserve the substrate class (``copy()`` /
 ``induced_subgraph_with_mapping`` return ``type(self)``), so the peeled
-graph keeps its mask/batch capabilities, and solutions are translated back
+graph keeps its batch capability, and solutions are translated back
 to the input graph's vertex ids at the engine boundary.  The two axes
 compose freely — every ``backend × prep`` cell enumerates the same
 solution set:
@@ -78,7 +71,7 @@ import os
 from typing import Iterable, Iterator, Protocol, Set, runtime_checkable
 
 #: Names accepted by :func:`as_backend` and ``TraversalConfig.backend``.
-BACKENDS = ("set", "bitset", "packed")
+BACKENDS = ("bitset", "packed")
 
 #: Environment variable overriding :func:`default_backend`.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -89,11 +82,11 @@ def default_backend() -> str:
 
     ``bitset`` is the default everywhere (``TraversalConfig``, the CLI, the
     baselines): the word-parallel fast paths win on every workload we
-    benchmark, need no third-party dependency, and all backends are proven
+    benchmark, need no third-party dependency, and both backends are proven
     to enumerate identical solution sets.  Set the ``REPRO_BACKEND``
-    environment variable to ``set`` for plain-set adjacency or ``packed``
-    for the numpy bit-matrix substrate globally — CI runs the whole test
-    suite once per backend through exactly this knob.
+    environment variable to ``packed`` for the numpy bit-matrix substrate
+    globally — CI runs the whole test suite once per backend through
+    exactly this knob.
     """
     backend = os.environ.get(BACKEND_ENV_VAR, "bitset")
     if backend not in BACKENDS:
@@ -134,14 +127,6 @@ class BipartiteSubstrate(Protocol):
 
     def missing_right(self, right_vertex: int, left_subset: Iterable[int]) -> int: ...
 
-
-@runtime_checkable
-class MaskedBipartiteSubstrate(BipartiteSubstrate, Protocol):
-    """A substrate that additionally exposes per-vertex adjacency bitmasks."""
-
-    #: Capability flag checked by :func:`supports_masks`.
-    supports_masks: bool
-
     def adj_left_mask(self, left_vertex: int) -> int:
         """Bitmask over right ids: bit ``u`` is set iff ``(v, u)`` is an edge."""
         ...
@@ -154,29 +139,18 @@ class MaskedBipartiteSubstrate(BipartiteSubstrate, Protocol):
 def available_backends() -> tuple:
     """The subset of :data:`BACKENDS` usable in this environment.
 
-    All three, always: since the ``array('Q')`` fallback classes, the
-    ``packed`` backend no longer needs numpy (conversions auto-select the
-    fallback; only the numpy classes themselves require numpy >= 2.0).
-    Kept for API stability — callers that enumerated usable backends keep
-    working unchanged.
+    Both, always: without numpy the ``packed`` backend resolves to the
+    ``bitset`` graph (see :func:`as_backend`).
     """
     return BACKENDS
 
 
-def supports_masks(graph: object) -> bool:
-    """Whether ``graph`` advertises the adjacency-mask capability."""
-    return bool(getattr(graph, "supports_masks", False))
-
-
 def supports_batch(graph: object) -> bool:
-    """Whether ``graph`` advertises the packed-row batch capability.
+    """Whether ``graph`` advertises the numpy batch-row capability.
 
-    Batch-capable substrates (:class:`repro.graph.packed.PackedBipartiteGraph`
-    and its ``array('Q')`` fallback twin) expose ``rows`` /
-    ``popcount_rows`` / ``common_neighbors_matrix``; algorithms that cannot
-    use them fall back to the mask or set paths.  Most batch consumers
-    additionally require :func:`supports_vector_batch` — the surface alone
-    does not make whole-side sweeps fast.
+    Batch-capable substrates (:class:`repro.graph.packed.PackedBipartiteGraph`)
+    expose ``rows`` / ``popcount_rows`` / ``common_neighbors_matrix``;
+    whole-side fast paths gate on this and otherwise use the masks.
     """
     return bool(getattr(graph, "supports_batch", False))
 
@@ -189,18 +163,6 @@ def supports_batch(graph: object) -> bool:
 #: vertices per side).  Whole-graph kernels (butterfly, bitruss, cores) are
 #: per-call, not per-candidate, and ignore this threshold.
 BATCH_SWEEP_MIN_SIDE = 96
-
-
-def supports_vector_batch(graph: object) -> bool:
-    """Whether ``graph``'s batch rows are numpy-vectorized.
-
-    True only for the numpy-backed packed classes.  The whole-side fast
-    paths (butterfly / bitruss kernels, core peeling, the enumeration
-    candidate scoring) gate on this rather than on :func:`supports_batch`:
-    on the ``array('Q')`` fallback a "vectorized" sweep would be a Python
-    word loop, slower than the Python-int mask paths it would replace.
-    """
-    return bool(getattr(graph, "batch_vectorized", False))
 
 
 def mask_of(vertex_ids: Iterable[int]) -> int:
@@ -220,14 +182,12 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 def as_backend(graph, backend: str):
-    """Return ``graph`` converted to the requested adjacency ``backend``.
+    """Return ``graph`` on the requested adjacency ``backend``.
 
-    ``"set"`` is a no-op (every substrate answers set queries); ``"bitset"``
-    converts via ``graph.to_bitset()`` unless the graph already exposes
-    masks; ``"packed"`` converts via ``graph.to_packed()`` unless the graph
-    already exposes batch rows (auto-selecting the ``array('Q')`` fallback
-    when numpy is unavailable).  Raises :class:`ValueError` for unknown
-    backend names.
+    ``"bitset"`` is a no-op (every graph keeps its adjacency masks);
+    ``"packed"`` converts via ``graph.to_packed()`` unless the graph already
+    exposes batch rows, and returns ``graph`` itself when numpy is
+    unavailable.  Raises :class:`ValueError` for unknown backend names.
 
     A conversion is the *same logical graph* on a different substrate, so
     the source's mutation epoch is carried over (unlike copies/subgraphs,
@@ -238,11 +198,12 @@ def as_backend(graph, backend: str):
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    converted = graph
-    if backend == "bitset" and not supports_masks(graph):
-        converted = graph.to_bitset()
-    elif backend == "packed" and not supports_batch(graph):
-        converted = graph.to_packed()
-    if converted is not graph and hasattr(converted, "reset_epoch"):
-        converted.reset_epoch(getattr(graph, "epoch", 0))
+    if backend == "bitset" or supports_batch(graph):
+        return graph
+    from .packed import packed_available
+
+    if not packed_available():
+        return graph
+    converted = graph.to_packed()
+    converted.reset_epoch(getattr(graph, "epoch", 0))
     return converted

@@ -29,11 +29,12 @@ A top-level ``"trace": true`` in a POST body (or inside the query
 document) opts the request into a ``trace`` block in the response.
 
 Errors map to ``{"error": message}`` with 400 (bad query / bad cursor /
-bad Content-Length), 404 (expired session, unknown cancel target, unknown
-route), 405, 409 (``"code": "stale_cursor"`` — the cursor predates a
-graph update; re-run the query), 429 (rate limited, with ``Retry-After``;
-see :mod:`repro.service.ratelimit` — off unless ``REPRO_RATE_LIMIT`` or
-``--rate-limit`` is set) or 500.  A 500 body is deliberately generic —
+bad Content-Length / a body shorter than its Content-Length), 404 (expired
+session, unknown cancel target, unknown route), 405, 408 (headers or body
+not received within :data:`READ_DEADLINE_SECONDS`), 409 (``"code":
+"stale_cursor"`` — the cursor predates a graph update; re-run the query),
+429 (rate limited, with ``Retry-After``; see :mod:`repro.service.ratelimit`
+— off unless ``REPRO_RATE_LIMIT`` or ``--rate-limit`` is set) or 500.  A 500 body is deliberately generic —
 ``{"error": "internal server error", "trace_id": ...}`` — with the
 traceback written server-side to the error log under that ``trace_id``,
 never into the response.
@@ -58,11 +59,17 @@ from .sessions import SessionExpired
 #: Largest accepted request body (inline graphs included).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Deadline for reading a request's headers, and again for its body: a
+#: client that stalls mid-request gets a 408 instead of pinning a
+#: connection forever.
+READ_DEADLINE_SECONDS = 5.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
@@ -206,7 +213,7 @@ class ServiceHTTPServer:
         """
         try:
             header_blob = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=5.0
+                reader.readuntil(b"\r\n\r\n"), timeout=READ_DEADLINE_SECONDS
             )
             length = 0
             for line in header_blob.decode("latin-1").split("\r\n")[1:]:
@@ -215,7 +222,9 @@ class ServiceHTTPServer:
                     length = int(value.strip())
                     break
             if 0 < length <= MAX_BODY_BYTES:
-                await asyncio.wait_for(reader.readexactly(length), timeout=5.0)
+                await asyncio.wait_for(
+                    reader.readexactly(length), timeout=READ_DEADLINE_SECONDS
+                )
         except (asyncio.TimeoutError, asyncio.IncompleteReadError,
                 asyncio.LimitOverrunError, ValueError, ConnectionError):
             pass
@@ -257,7 +266,11 @@ class ServiceHTTPServer:
         label, kept low-cardinality on purpose.
         """
         try:
-            header_blob = await reader.readuntil(b"\r\n\r\n")
+            header_blob = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), timeout=READ_DEADLINE_SECONDS
+            )
+        except asyncio.TimeoutError:
+            return 408, {"error": "request headers not received in time"}, None
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             return 400, {"error": "malformed HTTP request"}, None
         request_line, _, header_text = header_blob.decode(
@@ -286,7 +299,16 @@ class ServiceHTTPServer:
                 return 400, {"error": "invalid Content-Length header"}, path
         if length > MAX_BODY_BYTES:
             return 413, {"error": "request body too large"}, path
-        body = await reader.readexactly(length) if length else b""
+        body = b""
+        if length:
+            try:
+                body = await asyncio.wait_for(
+                    reader.readexactly(length), timeout=READ_DEADLINE_SECONDS
+                )
+            except asyncio.TimeoutError:
+                return 408, {"error": "request body not received in time"}, path
+            except asyncio.IncompleteReadError:
+                return 400, {"error": "request body shorter than Content-Length"}, path
         status, payload = await self._dispatch(method, path, query_string, body)
         return status, payload, path
 

@@ -269,14 +269,10 @@ class QueryService:
             )
         theta_left = self._int_field(query, "theta_left", 0)
         theta_right = self._int_field(query, "theta_right", 0)
-        backend = query.get("backend")
-        if backend is None:
-            backend = default_backend()
-        if backend not in BACKENDS:
-            raise QueryError(
-                f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
-            )
         try:
+            backend = query.get("backend")
+            if backend is None:
+                backend = default_backend()
             prep = resolve_prep(query.get("prep"))
             order_strategy = (
                 resolve_order_strategy(query.get("order_strategy"))
@@ -287,6 +283,10 @@ class QueryService:
             mode, top = resolve_objective(query.get("mode"), query.get("top"))
         except ValueError as error:
             raise QueryError(str(error)) from None
+        if backend not in BACKENDS:
+            raise QueryError(
+                f"unknown backend {backend!r}; expected one of {sorted(BACKENDS)}"
+            )
         max_results = query.get("max_results")
         if max_results is not None and (
             not isinstance(max_results, int) or isinstance(max_results, bool) or max_results < 1
@@ -382,6 +382,10 @@ class QueryService:
                     return read_edge_list(path)
                 except OSError as error:
                     raise QueryError(f"cannot read graph file: {error}") from None
+                except (ValueError, IndexError):
+                    # The parser's message quotes the offending line; a
+                    # client error must not echo server file content.
+                    raise QueryError("graph file is not a valid edge list") from None
 
         elif "dataset" in graph_spec:
             from ..analysis.datasets import load_dataset

@@ -222,9 +222,8 @@ class HotGraphRegistry:
     def _converted_graph(self, key: Tuple[str, str], graph, backend: str):
         """The backend conversion of ``graph``, cached and epoch-stamped.
 
-        Conversions are fresh objects whose counters restart at 0, so a
-        conversion made *after* updates landed is stamped with the source's
-        epoch; from then on :meth:`apply_update` mutates source and
+        :func:`~repro.graph.protocol.as_backend` stamps a conversion made
+        *after* updates landed with the source's epoch; from then on :meth:`apply_update` mutates source and
         conversions together, keeping them in lockstep.
         """
         with self._lock:
@@ -232,8 +231,6 @@ class HotGraphRegistry:
             if converted is not None:
                 return converted
         converted = as_backend(graph, backend)
-        if converted is not graph and hasattr(converted, "reset_epoch"):
-            converted.reset_epoch(getattr(graph, "epoch", 0))
         with self._lock:
             return self._converted.setdefault((key, backend), converted)
 

@@ -5,11 +5,11 @@ without colliding with the benchmarks' ``conftest`` when pytest collects
 both directories in one run.
 """
 
-#: The full backend matrix for parametrized equivalence tests.  All three
+#: The full backend matrix for parametrized equivalence tests.  Both
 #: backends are always exercised: without a capable numpy the ``packed``
-#: entry runs on the ``array('Q')`` fallback substrate, which is exactly
-#: the degradation path the suite must pin.
-ALL_BACKENDS = ("set", "bitset", "packed")
+#: entry resolves to the mask graph, which is exactly the degradation path
+#: the suite must pin.
+ALL_BACKENDS = ("bitset", "packed")
 
 
 def random_graphs(count: int, max_side: int = 6, seed: int = 0):

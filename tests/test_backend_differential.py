@@ -8,8 +8,8 @@ and pin, for every single run, that
 * the produced solutions are valid maximal k-biplexes with no duplicates
   (``verify.check_all_solutions``, labelled so a failure names the
   algorithm × backend × graph that broke), and
-* the solution *set* matches the set-backend brute-force oracle
-  (``verify.same_solutions``).
+* the solution *set* matches the brute-force oracle, whose reference
+  predicates read only the adjacency sets (``verify.same_solutions``).
 
 This is the systematic oracle the per-feature equivalence tests sample from:
 any backend fast path (mask or batch) that changes results anywhere in the

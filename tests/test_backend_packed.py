@@ -1,12 +1,9 @@
-"""Tests for the packed substrate: batch API, row/mask lock-step, the
-numpy-free ``array('Q')`` fallback, and the numpy-absent degradation
-contract."""
+"""Tests for the packed substrate: batch API, row/mask lock-step and the
+numpy-absent degradation contract (``packed`` resolves to the mask graph)."""
 
 import pytest
 
 from repro.graph import (
-    ArrayPackedBipartiteGraph,
-    ArrayPackedGraph,
     BipartiteGraph,
     PackedBipartiteGraph,
     PackedGraph,
@@ -16,8 +13,6 @@ from repro.graph import (
     iter_bits,
     packed_available,
     supports_batch,
-    supports_masks,
-    supports_vector_batch,
 )
 from repro.graph.general import Graph
 
@@ -34,7 +29,7 @@ class TestPackedBipartiteGraph:
         from repro.graph.packed import unpack_row
 
         packed = example_graph.to_packed()
-        assert supports_batch(packed) and supports_masks(packed)
+        assert supports_batch(packed)
         for v in packed.left_vertices():
             assert unpack_row(packed.rows("left")[v]) == packed.adj_left_mask(v)
             assert set(iter_bits(packed.adj_left_mask(v))) == packed.neighbors_of_left(v)
@@ -105,12 +100,12 @@ class TestPackedBipartiteGraph:
     def test_conversions(self, example_graph):
         packed = example_graph.to_packed()
         assert packed.to_packed() is packed
-        assert packed.to_bitset() is packed  # already mask-capable
         assert as_backend(example_graph, "packed") == example_graph
         assert supports_batch(as_backend(example_graph, "packed"))
         assert as_backend(packed, "packed") is packed
         assert as_backend(packed, "bitset") is packed
-        assert as_backend(packed, "set") is packed
+        with pytest.raises(ValueError):
+            as_backend(packed, "set")
 
     def test_pack_helpers_roundtrip(self):
         from repro.graph.packed import pack_indices, pack_mask, unpack_row, words_for
@@ -143,7 +138,7 @@ class TestPackedGeneralGraph:
     def test_kplex_enumeration_on_packed_inflation(self, tiny_graph):
         from repro.baselines import enumerate_mbps_inflation
 
-        expected = set(enumerate_mbps_inflation(tiny_graph, 1, backend="set"))
+        expected = set(enumerate_mbps_inflation(tiny_graph, 1, backend="bitset"))
         assert set(enumerate_mbps_inflation(tiny_graph, 1, backend="packed")) == expected
 
 
@@ -153,10 +148,10 @@ class TestPackedEndToEnd:
         from repro.baselines import enumerate_mbps_imb, find_quasi_bicliques_greedy
 
         assert set(enumerate_mbps_imb(example_graph, 1, backend="packed")) == set(
-            enumerate_mbps_imb(example_graph, 1, backend="set")
+            enumerate_mbps_imb(example_graph, 1, backend="bitset")
         )
         assert set(find_quasi_bicliques_greedy(example_graph, 0.25, 2, 2, backend="packed")) == set(
-            find_quasi_bicliques_greedy(example_graph, 0.25, 2, 2, backend="set")
+            find_quasi_bicliques_greedy(example_graph, 0.25, 2, 2, backend="bitset")
         )
 
     def test_large_mbp_enumerator_on_packed(self):
@@ -164,7 +159,7 @@ class TestPackedEndToEnd:
 
         graph = erdos_renyi_bipartite(12, 12, num_edges=70, seed=4)
         expected = set(
-            LargeMBPEnumerator(graph, 1, theta=3, backend="set").enumerate()
+            LargeMBPEnumerator(graph, 1, theta=3, backend="bitset").enumerate()
         )
         enumerator = LargeMBPEnumerator(graph, 1, theta=3, backend="packed")
         assert supports_batch(enumerator.core_graph)
@@ -178,94 +173,15 @@ class TestPackedEndToEnd:
         write_edge_list(example_graph, path)
         assert main(["enumerate", "--input", str(path), "--backend", "packed", "--quiet"]) == 0
         packed_out = capsys.readouterr().out
-        assert main(["enumerate", "--input", str(path), "--backend", "set", "--quiet"]) == 0
-        set_out = capsys.readouterr().out
-        assert packed_out.split("elapsed")[0] == set_out.split("elapsed")[0]
-
-
-class TestArrayFallbackParity:
-    """The ``array('Q')`` fallback must be bit-identical to the numpy path
-    on the same graph: same rows, same popcounts, same common-neighbour
-    matrices — pinned with numpy present so both implementations can run
-    side by side (including multi-word rows beyond 64 vertices)."""
-
-    def _pair(self, graph):
-        edges = list(graph.edges())
-        return (
-            PackedBipartiteGraph(graph.n_left, graph.n_right, edges),
-            ArrayPackedBipartiteGraph(graph.n_left, graph.n_right, edges),
-        )
-
-    @requires_packed
-    @pytest.mark.parametrize("seed", range(3))
-    def test_rows_and_popcounts_bit_identical(self, seed):
-        graph = erdos_renyi_bipartite(70, 130, num_edges=500 + 40 * seed, seed=seed)
-        vectorized, fallback = self._pair(graph)
-        for side in ("left", "right"):
-            assert [list(row) for row in fallback.rows(side)] == vectorized.rows(
-                side
-            ).tolist()
-            assert fallback.popcount_rows(side) == vectorized.popcount_rows(side).tolist()
-            mask = sum(1 << bit for bit in range(0, fallback.row_bits(side), 3))
-            assert (
-                fallback.popcount_rows(side, mask)
-                == vectorized.popcount_rows(side, mask).tolist()
-            )
-
-    @requires_packed
-    def test_selectors_accept_numpy_booleans(self, example_graph):
-        # numpy booleans are not `bool` instances but are index-like, so a
-        # naive isinstance check would misread the mask as indices [0, 1...].
-        vectorized, fallback = self._pair(example_graph)
-        flags = np.zeros(example_graph.n_left, dtype=bool)
-        flags[[0, 2]] = True
-        assert (
-            fallback.common_neighbors_matrix("left", anchors=flags.tolist())
-            == fallback.common_neighbors_matrix("left", anchors=flags)
-            == vectorized.common_neighbors_matrix("left", anchors=flags).tolist()
-        )
-
-    @requires_packed
-    def test_common_neighbors_matrix_bit_identical(self, example_graph):
-        vectorized, fallback = self._pair(example_graph)
-        assert (
-            fallback.common_neighbors_matrix("left")
-            == vectorized.common_neighbors_matrix("left").tolist()
-        )
-        assert (
-            fallback.common_neighbors_matrix("right", anchors=slice(1, 3), others=[0, 2])
-            == vectorized.common_neighbors_matrix(
-                "right", anchors=slice(1, 3), others=[0, 2]
-            ).tolist()
-        )
-
-    def test_fallback_capabilities_and_lockstep(self):
-        graph = ArrayPackedBipartiteGraph(70, 130)
-        assert supports_batch(graph) and supports_masks(graph)
-        assert not supports_vector_batch(graph)
-        assert graph.add_edge(3, 100) is True
-        assert graph.add_edge(3, 100) is False
-        assert graph.rows("left")[3][100 // 64] == 1 << (100 % 64)
-        assert graph.rows("right")[100][0] == 1 << 3
-        assert graph.remove_edge(3, 100) is True
-        assert all(not any(row) for row in graph.rows("left"))
-        assert graph.to_packed() is graph
-
-    def test_fallback_general_graph(self):
-        graph = ArrayPackedGraph(70, edges=[(0, 1), (1, 69), (0, 69)])
-        assert supports_batch(graph) and not supports_vector_batch(graph)
-        assert graph.rows()[1][69 // 64] == 1 << (69 % 64)
-        assert graph.popcount_rows() == [graph.degree(u) for u in graph.vertices()]
-        assert graph.popcount_rows(0b10) == [
-            len(graph.neighbors(u) & {1}) for u in graph.vertices()
-        ]
-        assert graph.to_packed() is graph
+        assert main(["enumerate", "--input", str(path), "--backend", "bitset", "--quiet"]) == 0
+        bitset_out = capsys.readouterr().out
+        assert packed_out.split("elapsed")[0] == bitset_out.split("elapsed")[0]
 
 
 class TestNumpyAbsentFallback:
-    """The contract when numpy is missing: the packed backend degrades to
-    the ``array('Q')`` fallback (same surface, mask-path speed) instead of
-    erroring; only *direct* construction of the numpy classes raises."""
+    """The contract when numpy is missing: the packed backend resolves to
+    the mask graph itself (the fallback) instead of erroring; only *direct*
+    construction of the numpy classes raises."""
 
     @pytest.fixture
     def no_numpy(self, monkeypatch):
@@ -288,28 +204,32 @@ class TestNumpyAbsentFallback:
             PackedGraph(3)
 
     def test_conversions_select_the_fallback(self, no_numpy, example_graph, tiny_graph):
-        packed = example_graph.to_packed()
-        assert isinstance(packed, ArrayPackedBipartiteGraph)
-        assert supports_batch(packed) and not supports_vector_batch(packed)
-        assert packed == example_graph
-        assert isinstance(as_backend(example_graph, "packed"), ArrayPackedBipartiteGraph)
-        assert as_backend(packed, "packed") is packed
-        assert isinstance(inflate(tiny_graph, backend="packed"), ArrayPackedGraph)
+        assert as_backend(example_graph, "packed") is example_graph
+        assert not supports_batch(as_backend(example_graph, "packed"))
+        assert type(inflate(tiny_graph, backend="packed")) is Graph
         from repro.graph import available_backends
 
-        assert available_backends() == ("set", "bitset", "packed")
+        assert available_backends() == ("bitset", "packed")
+
+    def test_as_backend_packed_without_numpy_returns_mask_graph(
+        self, monkeypatch, example_graph
+    ):
+        from repro.graph import packed as packed_module
+
+        monkeypatch.setattr(packed_module, "packed_available", lambda: False)
+        assert as_backend(example_graph, "packed") is example_graph
 
     def test_enumeration_works_on_the_fallback(self, no_numpy, example_graph):
         from repro.core import ITraversal
 
-        expected = ITraversal(example_graph, 1, backend="set").enumerate()
+        expected = ITraversal(example_graph, 1, backend="bitset").enumerate()
         assert ITraversal(example_graph, 1, backend="packed").enumerate() == expected
 
     def test_butterfly_and_cores_work_on_the_fallback(self, no_numpy, example_graph):
         from repro.graph.butterfly import edge_butterfly_counts, k_bitruss
         from repro.graph.cores import alpha_beta_core
 
-        packed = example_graph.to_packed()
+        packed = as_backend(example_graph, "packed")
         assert edge_butterfly_counts(packed) == edge_butterfly_counts(example_graph)
         assert sorted(k_bitruss(packed, 1).edges()) == sorted(
             k_bitruss(example_graph, 1).edges()
@@ -324,9 +244,9 @@ class TestNumpyAbsentFallback:
         write_edge_list(example_graph, path)
         assert main(["enumerate", "--input", str(path), "--backend", "packed", "--quiet"]) == 0
         packed_out = capsys.readouterr().out
-        assert main(["enumerate", "--input", str(path), "--backend", "set", "--quiet"]) == 0
-        set_out = capsys.readouterr().out
-        assert packed_out.split("elapsed")[0] == set_out.split("elapsed")[0]
+        assert main(["enumerate", "--input", str(path), "--backend", "bitset", "--quiet"]) == 0
+        bitset_out = capsys.readouterr().out
+        assert packed_out.split("elapsed")[0] == bitset_out.split("elapsed")[0]
 
 
 def test_example_graph_has_edges(example_graph):

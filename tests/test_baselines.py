@@ -197,57 +197,69 @@ class TestInflationPipeline:
 
 
 class TestBaselineBackendEquivalence:
-    """Every converted baseline must enumerate identical sets on both backends."""
+    """Every baseline must enumerate identical sets on both backends, and
+    match the set-only references."""
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("k", [1, 2])
     def test_imb_backends_agree(self, seed, k):
         graph = erdos_renyi_bipartite(5, 5, num_edges=10 + seed * 4, seed=seed)
-        assert set(enumerate_mbps_imb(graph, k, backend="set")) == set(
-            enumerate_mbps_imb(graph, k, backend="bitset")
-        )
+        expected = set(enumerate_mbps_bruteforce(graph, k))
+        for backend in ("bitset", "packed"):
+            assert set(enumerate_mbps_imb(graph, k, backend=backend)) == expected
 
     @pytest.mark.parametrize("seed", range(3))
     def test_inflation_backends_agree(self, seed):
         graph = erdos_renyi_bipartite(4, 4, num_edges=8 + seed * 2, seed=seed)
-        assert set(enumerate_mbps_inflation(graph, 1, backend="set")) == set(
-            enumerate_mbps_inflation(graph, 1, backend="bitset")
-        )
+        expected = set(enumerate_mbps_bruteforce(graph, 1))
+        for backend in ("bitset", "packed"):
+            assert set(enumerate_mbps_inflation(graph, 1, backend=backend)) == expected
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_kplex_masked_graph_agrees(self, k):
         import random
+        from itertools import combinations
 
         rng = random.Random(11)
         n = 7
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         graph = Graph(n, edges)
-        expected = sorted(map(frozenset, enumerate_maximal_kplexes(graph, k)))
-        masked = sorted(map(frozenset, enumerate_maximal_kplexes(graph.to_bitset(), k)))
-        assert masked == expected
+        expected = sorted(
+            subset
+            for size in range(1, n + 1)
+            for subset in combinations(range(n), size)
+            if is_maximal_kplex(graph, set(subset), k)
+        )
+        assert sorted(tuple(sorted(plex)) for plex in enumerate_maximal_kplexes(graph, k)) == (
+            expected
+        )
 
     def test_quasi_biclique_backends_agree(self, example_graph):
-        bitset = example_graph.to_bitset()
         for delta in (0.0, 0.3, 0.6):
             assert set(
-                enumerate_maximal_quasi_bicliques(example_graph, delta, 2, 2, backend="set")
-            ) == set(enumerate_maximal_quasi_bicliques(bitset, delta, 2, 2))
-        assert set(find_quasi_bicliques_greedy(example_graph, 0.25, 2, 2, backend="set")) == set(
+                enumerate_maximal_quasi_bicliques(example_graph, delta, 2, 2, backend="bitset")
+            ) == set(
+                enumerate_maximal_quasi_bicliques(example_graph, delta, 2, 2, backend="packed")
+            )
+        assert set(
             find_quasi_bicliques_greedy(example_graph, 0.25, 2, 2, backend="bitset")
-        )
+        ) == set(find_quasi_bicliques_greedy(example_graph, 0.25, 2, 2, backend="packed"))
 
     def test_is_quasi_biclique_backends_agree(self, example_graph):
         import random
 
-        bitset = example_graph.to_bitset()
         rng = random.Random(7)
         for _ in range(20):
             left = {v for v in example_graph.left_vertices() if rng.random() < 0.5}
             right = {u for u in example_graph.right_vertices() if rng.random() < 0.5}
             for delta in (0.0, 0.25, 0.5, 1.0):
-                assert is_quasi_biclique(bitset, left, right, delta) == is_quasi_biclique(
-                    example_graph, left, right, delta
+                # Set-only reference: δ̄ from the adjacency sets.
+                expected = all(
+                    example_graph.missing_left(v, right) <= delta * len(right) for v in left
+                ) and all(
+                    example_graph.missing_right(u, left) <= delta * len(left) for u in right
                 )
+                assert is_quasi_biclique(example_graph, left, right, delta) == expected
 
 
 class TestBiclique:

@@ -157,7 +157,7 @@ class TestRightExtensible:
     """
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("backend", ["set", "bitset"])
+    @pytest.mark.parametrize("backend", ["bitset", "packed"])
     def test_matches_bruteforce_scan(self, k, backend):
         import random
 

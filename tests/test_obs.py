@@ -9,7 +9,8 @@ Four groups:
   process boundary), cache hit/miss counters;
 * daemon end-to-end: ``/v1/metrics`` (JSON + text), generic 500 bodies
   with the traceback exchanged for a ``trace_id`` through the error log,
-  Content-Length validation, slow-query records;
+  Content-Length validation, read deadlines, malformed graph files,
+  slow-query records;
 * the session-table locking regression (close under the record lock,
   never under the table lock).
 """
@@ -487,6 +488,70 @@ class TestDaemonObservability:
         url, _, _ = obs_daemon
         raw = _raw_request(url, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
         assert b"200" in raw.split(b"\r\n", 1)[0]
+
+    def test_short_body_is_400(self, obs_daemon):
+        url, _, sink = obs_daemon
+        raw = _raw_request(
+            url,
+            b"POST /v1/enumerate HTTP/1.1\r\n"
+            b"Host: x\r\n"
+            b"Content-Length: 100\r\n\r\n"
+            b'{"query":',
+        )
+        assert b"400" in raw.split(b"\r\n", 1)[0]
+        assert b"shorter than Content-Length" in raw.split(b"\r\n\r\n", 1)[1]
+        assert not sink.exists() or '"kind": "error"' not in sink.read_text()
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"POST /v1/enumerate HTTP/1.1\r\nHost: x\r\n",
+            b"POST /v1/enumerate HTTP/1.1\r\nContent-Length: 50\r\n\r\n{",
+        ],
+        ids=["stalled-header", "stalled-body"],
+    )
+    def test_stalled_request_is_408(self, obs_daemon, monkeypatch, partial):
+        from repro.service import http as http_module
+
+        url, _, _ = obs_daemon
+        monkeypatch.setattr(http_module, "READ_DEADLINE_SECONDS", 0.2)
+        host, port = url.replace("http://", "").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as client:
+            # Send part of a request and keep the connection open: the
+            # server must give up on its own instead of waiting forever.
+            client.sendall(partial)
+            chunks = []
+            while True:
+                chunk = client.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        raw = b"".join(chunks)
+        assert b"408" in raw.split(b"\r\n", 1)[0]
+        assert b"not received in time" in raw.split(b"\r\n\r\n", 1)[1]
+
+    def test_malformed_graph_file_is_400_not_500(self, obs_daemon, tmp_path):
+        url, _, sink = obs_daemon
+        path = tmp_path / "broken.txt"
+        for line in ("secret-content here", "7"):
+            path.write_text(f"% 2 2\n0 1\n{line}\n")
+            status, response = _http(
+                url, "POST", "/v1/enumerate",
+                {"query": {"graph": {"path": str(path)}, "k": 1}},
+            )
+            assert status == 400, response
+            assert "not a valid edge list" in response["error"]
+            assert line not in json.dumps(response)
+        assert not sink.exists() or "secret-content" not in sink.read_text()
+
+    def test_set_backend_is_400(self, obs_daemon, graph_file):
+        url, _, _ = obs_daemon
+        status, response = _http(
+            url, "POST", "/v1/enumerate",
+            {"query": {"graph": {"path": graph_file}, "k": 1, "backend": "set"}},
+        )
+        assert status == 400
+        assert "unknown backend 'set'" in response["error"]
 
     def test_500_is_generic_and_logged(self, obs_daemon):
         url, server, sink = obs_daemon

@@ -89,7 +89,7 @@ class TestHotGraphRegistry:
         registry = HotGraphRegistry(capacity=1)
         graph = paper_example_graph()
         registry.get_graph(("dataset", "a"), lambda: graph)
-        registry.get_plan(("dataset", "a"), graph, 1, "set", "core", 0, 0)
+        registry.get_plan(("dataset", "a"), graph, 1, "bitset", "core", 0, 0)
         registry.get_graph(("dataset", "b"), lambda: graph)
         counters = registry.counters()
         assert counters["graph_evictions"] == 1
@@ -260,11 +260,19 @@ class TestQueryService:
             ({"graph": {"dataset": "divorce"}, "k": 1, "max_results": 0}, "max_results"),
             ({"graph": {"dataset": "divorce"}, "k": 1, "bogus": 1}, "unknown query fields"),
             ({"graph": {"path": "x", "dataset": "y"}, "k": 1}, "exactly one"),
+            ({"graph": {"dataset": "divorce"}, "k": 1, "backend": "set"}, "unknown backend 'set'"),
         ],
     )
     def test_query_validation(self, broken, match):
         with pytest.raises(QueryError, match=match):
             QueryService().normalize(broken)
+
+    def test_invalid_backend_env_is_a_query_error(self, monkeypatch):
+        # A daemon started with a backend the library no longer accepts
+        # must answer 400 with the reason, not a generic 500.
+        monkeypatch.setenv("REPRO_BACKEND", "set")
+        with pytest.raises(QueryError, match="REPRO_BACKEND='set'"):
+            QueryService().normalize({"graph": {"dataset": "divorce"}, "k": 1})
 
     def test_malformed_service_cursor_rejected(self):
         service = QueryService()

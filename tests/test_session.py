@@ -133,7 +133,7 @@ class TestCursorSuffixEquality:
         token = session.cursor()
         session.close()
         resumed = EnumerationSession.resume(
-            graph, 1, token, itraversal_config(backend="set")
+            graph, 1, token, itraversal_config(backend="packed")
         )
         assert prefix + list(resumed.stream()) == expected
 
